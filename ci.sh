@@ -50,6 +50,15 @@ go test -race ./...
 echo "==> go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy"
 go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy
 
+# Width sweep for the training path: the forest fans trees out over
+# GOMAXPROCS workers, each drawing a pooled workspace that carries the
+# counting-sort and node scratch while all trees read one shared rank table.
+# Run the ml and core suites at widths 1, 2 and 4 so the fan-out and the
+# pooled workspaces are exercised at several widths, not only at the host's
+# GOMAXPROCS.
+echo "==> go test -cpu 1,2,4 ./internal/ml ./internal/core"
+go test -cpu 1,2,4 ./internal/ml ./internal/core
+
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the
 # worker count — the Cronos equivalent of the engine's Jobs-invariance

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,8 +55,8 @@ type Dataset struct {
 	Samples         []Sample
 }
 
-// FeatureKey renders a feature vector as a stable group label, used by the
-// leave-one-input-out protocol to hold out all samples of one input together.
+// FeatureKey renders a feature vector as a stable group label for reports
+// and error messages. Grouping compares vectors with SameInput instead.
 func FeatureKey(features []float64) string {
 	parts := make([]string, len(features))
 	for i, f := range features {
@@ -64,15 +65,35 @@ func FeatureKey(features []float64) string {
 	return strings.Join(parts, "x")
 }
 
+// SameInput reports whether a and b are the same input feature vector: equal
+// length and bit-identical elements. For vectors without NaN this is exactly
+// FeatureKey equality (−0 and +0 differ under both), without rendering a
+// string; the leave-one-input-out protocol uses it to hold out all samples
+// of one input together.
+func SameInput(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Inputs returns the distinct input feature vectors of the dataset, in
 // first-appearance order.
 func (d *Dataset) Inputs() [][]float64 {
-	seen := map[string]bool{}
 	var out [][]float64
 	for _, s := range d.Samples {
-		k := FeatureKey(s.Features)
-		if !seen[k] {
-			seen[k] = true
+		// Samples of one input are usually contiguous, so search the most
+		// recently found inputs first.
+		seen := false
+		for k := len(out) - 1; k >= 0 && !seen; k-- {
+			seen = SameInput(out[k], s.Features)
+		}
+		if !seen {
 			out = append(out, append([]float64(nil), s.Features...))
 		}
 	}
@@ -82,10 +103,9 @@ func (d *Dataset) Inputs() [][]float64 {
 // InputSamples returns the samples whose features match exactly, sorted by
 // frequency.
 func (d *Dataset) InputSamples(features []float64) []Sample {
-	key := FeatureKey(features)
 	var out []Sample
 	for _, s := range d.Samples {
-		if FeatureKey(s.Features) == key {
+		if SameInput(s.Features, features) {
 			out = append(out, s)
 		}
 	}

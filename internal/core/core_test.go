@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -331,16 +332,16 @@ func TestMethodologyPortableToUnseenDevice(t *testing.T) {
 }
 
 // failingWorkload returns an error on its nth execution, for failure
-// injection through the measurement pipeline.
+// injection through the measurement pipeline. The sweep runs it from
+// several workers at once, so the run counter is atomic.
 type failingWorkload struct {
-	failAfter int
-	runs      *int
+	failAfter int64
+	runs      *atomic.Int64
 }
 
 func (w failingWorkload) Name() string { return "failing" }
 func (w failingWorkload) RunOn(q *synergy.Queue) (float64, float64, error) {
-	*w.runs++
-	if *w.runs > w.failAfter {
+	if w.runs.Add(1) > w.failAfter {
 		return 0, 0, errInjected
 	}
 	return 1, 1, nil
@@ -350,7 +351,7 @@ var errInjected = fmt.Errorf("injected measurement failure")
 
 func TestBuildDatasetPropagatesWorkloadErrors(t *testing.T) {
 	q := testQueue(t)
-	runs := 0
+	var runs atomic.Int64
 	_, err := BuildDataset(q, CronosSchema(), []FeaturedWorkload{{
 		Workload: failingWorkload{failAfter: 3, runs: &runs},
 		Features: []float64{1, 1, 1},
@@ -378,6 +379,52 @@ func TestFeatureKeyInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSameInputMatchesFeatureKey(t *testing.T) {
+	// Property: SameInput groups exactly like FeatureKey equality for every
+	// non-NaN vector. Elements come from a small pool so collisions are
+	// frequent; the pool carries −0 and +0, and lengths run from 0 to 3.
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 4, 0.5, 1e300, -2.5e-8, 31, 1600}
+	vec := func(raw []uint8) []float64 {
+		if len(raw) == 0 {
+			return nil
+		}
+		n := int(raw[0]) % 4
+		v := make([]float64, 0, n)
+		for i := 1; i <= n && i < len(raw); i++ {
+			v = append(v, pool[int(raw[i])%len(pool)])
+		}
+		return v
+	}
+	f := func(a, b []uint8, mirror bool) bool {
+		fa, fb := vec(a), vec(b)
+		if mirror {
+			fb = append([]float64(nil), fa...)
+		}
+		return SameInput(fa, fb) == (FeatureKey(fa) == FeatureKey(fb))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		a, b []float64
+		want bool
+	}{
+		{[]float64{0, 4}, []float64{negZero, 4}, false},
+		{[]float64{negZero}, []float64{negZero}, true},
+		{[]float64{10, 4}, []float64{10, 4, 4}, false},
+		{nil, []float64{}, true},
+		{[]float64{256, 4, 31}, []float64{256, 4, 31}, true},
+	} {
+		if got := SameInput(tc.a, tc.b); got != tc.want {
+			t.Errorf("SameInput(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+		if keyEq := FeatureKey(tc.a) == FeatureKey(tc.b); keyEq != tc.want {
+			t.Errorf("FeatureKey equality of %v and %v = %v, want %v", tc.a, tc.b, keyEq, tc.want)
+		}
 	}
 }
 

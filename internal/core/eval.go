@@ -49,20 +49,19 @@ func leaveOneInputOut(ds *Dataset, spec ml.Spec, seed uint64, workers int) ([]In
 // fold of the leave-one-input-out protocol, also used by the Figure 14
 // Pareto evaluation so the assessed input is genuinely unseen.
 func TrainHeldOut(ds *Dataset, spec ml.Spec, seed uint64, held []float64) (*Model, error) {
-	key := FeatureKey(held)
 	train := &Dataset{
 		Schema:          ds.Schema,
 		Device:          ds.Device,
 		BaselineFreqMHz: ds.BaselineFreqMHz,
 	}
 	for _, s := range ds.Samples {
-		if FeatureKey(s.Features) != key {
+		if !SameInput(s.Features, held) {
 			train.Samples = append(train.Samples, s)
 		}
 	}
 	model, err := TrainNormalized(train, spec, seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: training without input %s: %w", key, err)
+		return nil, fmt.Errorf("core: training without input %s: %w", FeatureKey(held), err)
 	}
 	return model, nil
 }

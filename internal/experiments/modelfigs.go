@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dsenergy/internal/core"
 	"dsenergy/internal/cronos"
@@ -206,14 +207,11 @@ func (c Config) Fig13() (Fig13Result, error) {
 // the dataset (all of them under the paper config; a subset under quick
 // configs).
 func (c Config) fig13Display(ds *core.Dataset) []ligen.Input {
-	have := map[string]bool{}
-	for _, in := range ds.Inputs() {
-		have[core.FeatureKey(in)] = true
-	}
+	have := ds.Inputs()
 	var out []ligen.Input
 	for _, in := range Fig13LiGenDisplay() {
-		key := core.FeatureKey([]float64{float64(in.Ligands), float64(in.Fragments), float64(in.Atoms)})
-		if have[key] {
+		features := []float64{float64(in.Ligands), float64(in.Fragments), float64(in.Atoms)}
+		if slices.ContainsFunc(have, func(h []float64) bool { return core.SameInput(h, features) }) {
 			out = append(out, in)
 		}
 	}

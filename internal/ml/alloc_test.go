@@ -4,7 +4,7 @@ import "testing"
 
 // TestSolverFitAllocationGuard pins the allocation counts of the Lasso and
 // SVR fits. Both solvers front-load their allocations — flat feature
-// buffers, the Gram/kernel matrix, the shrinking bookkeeping — and the sweep
+// buffers, the Gram/kernel matrix, the prediction vector — and the sweep
 // loops themselves must run allocation-free, so the per-fit count is a small
 // constant independent of the iteration count. A per-sweep or per-update
 // allocation sneaking into a hot loop multiplies by MaxIter·n and trips the
@@ -31,8 +31,7 @@ func TestSolverFitAllocationGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Fixed setup allocations plus the bounded growth of the update log
-		// and the packed-kernel buffers.
+		// Fixed setup allocations only: the plain sweep allocates nothing.
 		if avg > 64 {
 			t.Fatalf("SVR.Fit allocates %.1f objects per fit, want <= 64", avg)
 		}

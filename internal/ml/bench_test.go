@@ -113,6 +113,41 @@ func BenchmarkForestFitLarge(b *testing.B) {
 	}
 }
 
+// benchDataTies builds the design the paper's forests train on: every one of
+// inputs library shapes (ligands, fragments, atoms, drawn from discrete
+// levels) is measured at each of clocks core frequencies, so all four
+// columns are tie-heavy.
+func benchDataTies(inputs, clocks int) ([][]float64, []float64) {
+	rng := xrand.New(2023)
+	pick := func(levels ...float64) float64 { return levels[rng.Intn(len(levels))] }
+	var X [][]float64
+	var y []float64
+	for in := 0; in < inputs; in++ {
+		l, fr, a := pick(2, 64, 256, 1024, 4096, 10000), pick(4, 8, 12, 16, 20), pick(31, 45, 60, 75, 89)
+		for c := 0; c < clocks; c++ {
+			f := 510 + float64(c)*1020/float64(clocks)
+			X = append(X, []float64{l, fr, a, f})
+			y = append(y, math.Log(l)*a/fr/(0.3+f/1530)+0.05*rng.Norm())
+		}
+	}
+	return X, y
+}
+
+// BenchmarkForestFitTies is the dataset-shaped forest fit: 40 inputs × 25
+// clocks with three discrete input features plus the clock column, 100
+// trees, serial.
+func BenchmarkForestFitTies(b *testing.B) {
+	X, y := benchDataTies(40, 25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewForest(ForestConfig{NumTrees: 100, Seed: 1, Workers: 1})
+		if err := m.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkForestPredictBatch measures bulk inference: 2000 rows through a
 // 50-tree forest per iteration.
 func BenchmarkForestPredictBatch(b *testing.B) {
@@ -156,9 +191,8 @@ func BenchmarkLassoFitWide(b *testing.B) {
 	}
 }
 
-// BenchmarkSVRFitLarge is the shrinking acceptance shape: n=600 doubles the
-// kernel matrix rows of BenchmarkSVRFit, so bound-clipped coordinates
-// dominate the dual sweeps.
+// BenchmarkSVRFitLarge doubles the kernel matrix rows of BenchmarkSVRFit:
+// n=600 on the wide design with a discrete frequency column.
 func BenchmarkSVRFitLarge(b *testing.B) {
 	X, y := benchDataWide(600, 8)
 	b.ReportAllocs()

@@ -37,9 +37,9 @@ type ForestConfig struct {
 
 // Forest is a bagged ensemble of CART regression trees with per-node feature
 // subsampling — the model the paper selects for both the speedup and the
-// normalized-energy domain-specific models. Trees are flat SoA structures
-// (see Tree); bulk inference should go through PredictBatch, which walks the
-// ensemble tree-by-tree so each tree's node arrays stay cache-resident
+// normalized-energy domain-specific models. Trees are packed preorder node
+// slices (see Tree); bulk inference should go through PredictBatch, which
+// walks the ensemble tree-by-tree so each tree's nodes stay cache-resident
 // across the whole row block.
 type Forest struct {
 	cfg     ForestConfig
@@ -64,9 +64,11 @@ func NewForest(cfg ForestConfig) *Forest {
 
 // Fit implements Regressor: trees are trained concurrently, each with an
 // independent generator split derived from the forest seed and the tree
-// index, so results do not depend on scheduling. Each training task draws a
-// pooled workspace, gathers its bootstrap sample straight into the
-// workspace's column-major buffers from a shared transposed copy of X, and
+// index, so results do not depend on scheduling. Each feature column is
+// sorted once into a rank table shared read-only by every tree. Each
+// training task draws a pooled workspace, gathers its bootstrap sample
+// straight into the workspace's column-major buffers from a shared
+// transposed copy of X, presorts it by a counting sort over the ranks, and
 // grows the tree without per-node allocations.
 func (f *Forest) Fit(X [][]float64, y []float64) error {
 	n, d, err := checkXY(X, y)
@@ -89,6 +91,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 			cols[ff][i] = v
 		}
 	}
+	ranks := newRankTable(cols, n, make([]int32, n))
 
 	f.trees = make([]*Tree, f.cfg.NumTrees)
 	var inBag [][]bool
@@ -135,6 +138,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 		for i, j := range boot {
 			ws.y[i] = yc[j]
 		}
+		ws.presort(ranks, boot)
 		tree := NewTree(f.cfg.MaxDepth, f.cfg.MinLeaf)
 		if mf := f.cfg.MaxFeatures; mf > 0 && mf < d {
 			tree.featurePicker = func(dd int) []int {
@@ -200,9 +204,9 @@ func (f *Forest) Predict(x []float64) float64 {
 }
 
 // PredictBatch is the block-oriented inference fast path: it applies the
-// ensemble to every row of X, traversing tree-by-tree so each flat tree is
-// walked while its node arrays are cache-resident. Row i's result is
-// bit-identical to Predict(X[i]). Unlike Predict's zero fallback, rows whose
+// ensemble to every row of X, traversing tree-by-tree so each tree is walked
+// while its nodes are cache-resident. Row i's result is bit-identical to
+// Predict(X[i]). Unlike Predict's zero fallback, rows whose
 // width differs from the training dimension are rejected with an error.
 func (f *Forest) PredictBatch(X [][]float64) ([]float64, error) {
 	if len(f.trees) == 0 {

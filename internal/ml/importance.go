@@ -78,14 +78,14 @@ func ForestFeatureImportance(f *Forest, numFeatures int) ([]float64, error) {
 
 // accumulateImportance adds each split's weight to its feature. Gains are
 // not stored on nodes, so the walk uses split counts as a proxy weighted by
-// subtree size — deeper splits partition fewer samples. The flat node arrays
-// are laid out in preorder, so an ascending index sweep visits splits in the
+// subtree size — deeper splits partition fewer samples. The packed nodes are
+// laid out in preorder, so an ascending index sweep visits splits in the
 // same depth-first order (and accumulates in the same float order) as the
 // legacy pointer walk.
 func accumulateImportance(t *Tree, imp []float64) {
 	counts := t.subtreeLeafCounts()
-	for i, f := range t.feature {
-		if f >= 0 && int(f) < len(imp) {
+	for i, nd := range t.nodes {
+		if f := nd.feature; f >= 0 && int(f) < len(imp) {
 			// Weight a split by the size of the subtree it governs.
 			imp[f] += float64(counts[i])
 		}

@@ -519,10 +519,11 @@ func TestPersistRoundTripAllKinds(t *testing.T) {
 	models = append(models, forest)
 
 	for _, m := range models {
-		var buf bytes.Buffer
+		var buf, again bytes.Buffer
 		if err := SaveRegressor(&buf, m); err != nil {
 			t.Fatalf("%T: save: %v", m, err)
 		}
+		encoded := append([]byte(nil), buf.Bytes()...)
 		got, err := LoadRegressor(&buf)
 		if err != nil {
 			t.Fatalf("%T: load: %v", m, err)
@@ -530,7 +531,35 @@ func TestPersistRoundTripAllKinds(t *testing.T) {
 		if want, have := m.Predict(probe), got.Predict(probe); want != have {
 			t.Errorf("%T: prediction changed after round trip: %g vs %g", m, want, have)
 		}
+		// Encode → decode → encode must reproduce the bytes exactly, and
+		// decoded trees must carry the fitted packed nodes at exact length.
+		if err := SaveRegressor(&again, got); err != nil {
+			t.Fatalf("%T: re-save: %v", m, err)
+		}
+		if !bytes.Equal(encoded, again.Bytes()) {
+			t.Errorf("%T: re-encoding the decoded model changed its bytes", m)
+		}
+		fitted, decoded := packedNodes(m), packedNodes(got)
+		for i, nodes := range decoded {
+			if !reflect.DeepEqual(nodes, fitted[i]) || len(nodes) != cap(nodes) || len(fitted[i]) != cap(fitted[i]) {
+				t.Errorf("%T tree %d: decoded nodes differ from the fitted ones or are not exact-length", m, i)
+			}
+		}
 	}
+}
+
+// packedNodes lists the node slices of a tree or of every tree in a forest.
+func packedNodes(r Regressor) [][]node {
+	var out [][]node
+	switch m := r.(type) {
+	case *Tree:
+		out = append(out, m.nodes)
+	case *Forest:
+		for _, t := range m.trees {
+			out = append(out, t.nodes)
+		}
+	}
+	return out
 }
 
 func TestLoadRegressorRejectsGarbage(t *testing.T) {

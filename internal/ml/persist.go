@@ -209,23 +209,24 @@ func validateSVR(p svrJSON) error {
 	return nil
 }
 
-// encodeTree renders the flat preorder node arrays back into the nested
+// encodeTree renders the packed preorder nodes back into the nested
 // nodeJSON envelope, byte-identical to what the legacy pointer trees wrote.
 func encodeTree(t *Tree) treeJSON {
 	tj := treeJSON{MaxDepth: t.MaxDepth, MinLeaf: t.MinLeaf, D: t.d}
-	if len(t.feature) > 0 {
+	if len(t.nodes) > 0 {
 		tj.Root = encodeNode(t, 0)
 	}
 	return tj
 }
 
 func encodeNode(t *Tree, i int32) *nodeJSON {
-	if t.feature[i] < 0 {
-		return &nodeJSON{Leaf: true, Value: t.value[i]}
+	nd := t.nodes[i]
+	if nd.feature < 0 {
+		return &nodeJSON{Leaf: true, Value: nd.thresh}
 	}
 	return &nodeJSON{
-		Feature: int(t.feature[i]), Thresh: t.thresh[i],
-		Left: encodeNode(t, t.left[i]), Right: encodeNode(t, t.right[i]),
+		Feature: int(nd.feature), Thresh: nd.thresh,
+		Left: encodeNode(t, i+1), Right: encodeNode(t, nd.right),
 	}
 }
 
@@ -243,16 +244,18 @@ func decodeTree(p treeJSON) (*Tree, error) {
 	}
 	// Every split must route through a feature the tree was trained on:
 	// an out-of-range index would read past the end of the prediction row.
-	for _, f := range t.feature {
-		if f >= int32(t.d) {
+	for _, nd := range t.nodes {
+		if nd.feature >= int32(t.d) {
 			return nil, fmt.Errorf("%w: tree split on feature %d but dimension is %d",
-				ErrCorruptModel, f, t.d)
+				ErrCorruptModel, nd.feature, t.d)
 		}
 	}
+	// Trim to exact length, as fit does: loaded models stay resident.
+	t.nodes = append(make([]node, 0, len(t.nodes)), t.nodes...)
 	return t, nil
 }
 
-// decodeNode appends the nested payload into the tree's SoA arrays in
+// decodeNode appends the nested payload to the tree's packed nodes in
 // preorder (node, left subtree, right subtree) — the same layout fit
 // produces, so loaded and freshly trained trees are indistinguishable.
 func decodeNode(t *Tree, p *nodeJSON, depth int) error {
@@ -270,11 +273,10 @@ func decodeNode(t *Tree, p *nodeJSON, depth int) error {
 		return fmt.Errorf("%w: persisted split node has negative feature index %d",
 			ErrCorruptModel, p.Feature)
 	}
-	node := t.pushSplit(p.Feature, p.Thresh)
-	t.left[node] = int32(len(t.feature))
+	split := t.pushSplit(p.Feature, p.Thresh)
 	if err := decodeNode(t, p.Left, depth+1); err != nil {
 		return err
 	}
-	t.right[node] = int32(len(t.feature))
+	t.nodes[split].right = int32(len(t.nodes))
 	return decodeNode(t, p.Right, depth+1)
 }

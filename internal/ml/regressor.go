@@ -6,7 +6,9 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"dsenergy/internal/obs"
 )
@@ -21,7 +23,7 @@ type Regressor interface {
 }
 
 // PredictBatch applies r to every row of X. Forests take the block-oriented
-// fast path (tree-major traversal over the flat node arrays); every other
+// fast path (tree-major traversal over the packed nodes); every other
 // regressor falls back to a per-row Predict loop. Either way out[i] is
 // bit-identical to r.Predict(X[i]).
 func PredictBatch(r Regressor, X [][]float64) []float64 {
@@ -142,7 +144,12 @@ func DefaultSpecs() []Spec {
 	}
 }
 
-// checkXY validates a training set shape.
+// ErrNonFinite is the typed error every Fit wraps when a feature or target
+// is NaN or ±Inf: such a value has no place in the split finder's total
+// order and poisons every solver's sums, so it is rejected up front.
+var ErrNonFinite = errors.New("ml: non-finite training value")
+
+// checkXY validates a training set's shape and that every value is finite.
 func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {
 	if len(X) == 0 || len(y) == 0 {
 		return 0, 0, fmt.Errorf("ml: empty training set")
@@ -157,6 +164,14 @@ func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {
 	for i, r := range X {
 		if len(r) != cols {
 			return 0, 0, fmt.Errorf("ml: row %d has %d features, want %d", i, len(r), cols)
+		}
+		for j, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, 0, fmt.Errorf("%w: X[%d][%d] = %g", ErrNonFinite, i, j, v)
+			}
+		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return 0, 0, fmt.Errorf("%w: y[%d] = %g", ErrNonFinite, i, y[i])
 		}
 	}
 	return len(X), cols, nil

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// referenceSVRBetas is a verbatim port of the pre-shrinking SVR dual solver:
-// a dense [][]float64 kernel and plain cyclic sweeps with eager f updates
-// and no working-set skipping. The production solver's certificates and
-// lazy-replay bookkeeping must reproduce this trajectory bit-for-bit.
+// referenceSVRBetas is an independent transcription of the SVR dual solver:
+// a dense [][]float64 kernel and plain cyclic sweeps with eager f updates.
+// The production solver's flat kernel and unrolled axpy must reproduce this
+// trajectory bit-for-bit.
 func referenceSVRBetas(c, epsilon, gamma float64, maxIter int, tol float64, X [][]float64, y []float64) []float64 {
 	n, d := len(X), len(X[0])
 	mean := make([]float64, d)
@@ -89,11 +89,10 @@ func referenceSVRBetas(c, epsilon, gamma float64, maxIter int, tol float64, X []
 	return beta
 }
 
-// TestSVRShrinkingMatchesReference locks the shrinking solver to the plain
-// cyclic reference: identical dual coefficients, bit for bit, on converging
-// fits, MaxIter-bound fits, and box constraints tight enough to pin a large
-// fraction of the coordinates at ±C (the regime where certificates, lazy
-// replay and kernel repacking all engage).
+// TestSVRShrinkingMatchesReference locks the plain cyclic solver to the
+// reference transcription: identical dual coefficients, bit for bit, on
+// converging fits, MaxIter-bound fits, and box constraints tight enough to
+// pin a large fraction of the coordinates at ±C.
 func TestSVRShrinkingMatchesReference(t *testing.T) {
 	smoothX, smoothY := benchData(120)
 	largeX, largeY := benchData(300)
@@ -122,7 +121,7 @@ func TestSVRShrinkingMatchesReference(t *testing.T) {
 			}
 			mismatch := 0
 			for i := range want {
-				if m.beta[i] != want[i] {
+				if math.Float64bits(m.beta[i]) != math.Float64bits(want[i]) {
 					if mismatch < 5 {
 						t.Errorf("beta[%d] = %v, reference %v (diff %g)", i, m.beta[i], want[i], m.beta[i]-want[i])
 					}

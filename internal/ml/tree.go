@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -11,12 +12,13 @@ import (
 //
 // Training uses a column-major pre-sorted split finder (the exact greedy
 // algorithm of XGBoost and scikit-learn's presort path): every candidate
-// feature column is argsorted once per tree, and each node re-derives its
-// per-feature order by a stable in-place partition of the parent's index
-// arrays, so per-node split finding costs O(d·n) instead of the
-// O(d·n log n) a per-node sort pays. The fitted tree is stored as flat
-// structure-of-arrays node vectors in preorder (node, left subtree, right
-// subtree), which Predict walks without pointer chasing.
+// feature column is ordered once per tree by a counting sort over a dense
+// rank table (see rankTable), and each node re-derives its per-feature order
+// by a stable in-place partition of the parent's index arrays, so per-node
+// split finding costs O(d·n) instead of the O(d·n log n) a per-node sort
+// pays. The fitted tree is one exact-length slice of packed 16-byte nodes in
+// preorder (node, left subtree, right subtree), which Predict walks one node
+// per level without pointer chasing.
 type Tree struct {
 	// MaxDepth limits tree depth (0 = unbounded, scikit-learn's default).
 	MaxDepth int
@@ -26,16 +28,16 @@ type Tree struct {
 	// used by the random forest's per-node feature subsampling.
 	featurePicker func(d int) []int
 
-	d int
+	d     int
+	nodes []node
+}
 
-	// Flat SoA node storage in preorder; children always have larger
-	// indices than their parent. feature[i] < 0 marks a leaf whose mean
-	// target is value[i]; split nodes carry (feature, thresh, left, right).
-	feature []int32
-	thresh  []float64
-	left    []int32
-	right   []int32
-	value   []float64
+// node is one packed tree node. Preorder places a split's left child at the
+// next index, so only the right child is stored. A leaf has feature -1 and
+// keeps its mean target in thresh.
+type node struct {
+	thresh         float64
+	feature, right int32
 }
 
 // NewTree returns a regression tree with the given limits.
@@ -46,11 +48,46 @@ func NewTree(maxDepth, minLeaf int) *Tree {
 	return &Tree{MaxDepth: maxDepth, MinLeaf: minLeaf}
 }
 
+// rankTable maps every (feature, row) of a column-major design to the row's
+// dense rank among the column's distinct values: equal values (−0 and +0
+// included) share a rank and ranks ascend with the value, so ordering rows
+// by (rank, row) is exactly ordering them by (value, row). A forest builds
+// one table and shares it read-only across its trees.
+type rankTable struct {
+	n      int
+	rank   []int32 // rank[f*n+i] is row i's rank in column f
+	levels []int32 // levels[f] is the number of distinct values in column f
+}
+
+// newRankTable ranks cols (d columns of n rows each), sorting each column
+// once with order (len >= n) as scratch.
+func newRankTable(cols [][]float64, n int, order []int32) *rankTable {
+	rt := &rankTable{n: n, rank: make([]int32, len(cols)*n), levels: make([]int32, len(cols))}
+	order = order[:n]
+	for f, col := range cols {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		rank := rt.rank[f*n : (f+1)*n]
+		k := int32(0)
+		for p, i := range order {
+			if p > 0 && col[order[p-1]] < col[i] {
+				k++
+			}
+			rank[i] = k
+		}
+		rt.levels[f] = k + 1
+	}
+	return rt
+}
+
 // treeWorkspace owns every growth-time buffer so fitting one tree performs
 // no per-node allocations: the column-major feature copy, the per-feature
 // argsort index arrays, the row list mirroring the legacy recursion's
-// original-order index slice, and the partition scratch. Workspaces are
-// pooled (getWorkspace/putWorkspace) and resized monotonically.
+// original-order index slice, the partition and counting-sort scratch, and
+// the node buffer the tree grows into. Workspaces are pooled
+// (getWorkspace/putWorkspace) and resized monotonically.
 type treeWorkspace struct {
 	n, d int
 	// cols[f][i] is feature f of sample i; colData is the shared backing.
@@ -66,8 +103,10 @@ type treeWorkspace struct {
 	// values stay bit-identical.
 	rows     []int32
 	tmp      []int32
+	count    []int32
 	goesLeft []bool
 	allFeats []int
+	nodes    []node
 }
 
 var wsPool = sync.Pool{New: func() any { return new(treeWorkspace) }}
@@ -98,7 +137,11 @@ func (w *treeWorkspace) reset(n, d int) {
 		w.y = make([]float64, n)
 		w.rows = make([]int32, n)
 		w.tmp = make([]int32, 0, n)
+		w.count = make([]int32, n+1)
 		w.goesLeft = make([]bool, n)
+		// MinLeaf >= 1 bounds a tree at 2n-1 nodes, so growth never
+		// reallocates this buffer.
+		w.nodes = make([]node, 0, 2*n-1)
 	}
 	w.y = w.y[:n]
 	w.rows = w.rows[:n]
@@ -109,6 +152,30 @@ func (w *treeWorkspace) reset(n, d int) {
 	w.allFeats = w.allFeats[:d]
 	for f := range w.allFeats {
 		w.allFeats[f] = f
+	}
+}
+
+// presort fills sorted[f] with the workspace's samples ordered by (value,
+// index). Sample i is source row boot[i] of the rank table, so a stable
+// counting sort of the samples by rank yields that order in O(n+K) per
+// feature, for K distinct values.
+func (w *treeWorkspace) presort(rt *rankTable, boot []int32) {
+	for f := 0; f < w.d; f++ {
+		rank := rt.rank[f*rt.n : (f+1)*rt.n]
+		count := w.count[:rt.levels[f]+1]
+		clear(count)
+		for _, j := range boot {
+			count[rank[j]+1]++
+		}
+		for k := 1; k < len(count); k++ {
+			count[k] += count[k-1]
+		}
+		dst := w.sorted[f]
+		for i, j := range boot {
+			r := rank[j]
+			dst[count[r]] = int32(i)
+			count[r]++
+		}
 	}
 }
 
@@ -127,77 +194,51 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 		}
 		ws.y[i] = y[i]
 	}
+	rt := newRankTable(ws.cols, n, ws.tmp)
+	ident := ws.tmp[:n]
+	for i := range ident {
+		ident[i] = int32(i)
+	}
+	ws.presort(rt, ident)
 	t.fit(ws)
 	return nil
 }
 
-// fit grows the tree from a loaded workspace (cols and y filled).
+// fit grows the tree from a loaded workspace (cols, y and sorted filled).
+// The nodes grow in the workspace buffer and are copied out at exact length.
 func (t *Tree) fit(ws *treeWorkspace) {
 	t.d = ws.d
 	for i := range ws.rows {
 		ws.rows[i] = int32(i)
 	}
-	for f := 0; f < ws.d; f++ {
-		keys := ws.cols[f]
-		idx := ws.sorted[f]
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		// Total order (value, then index): ties cannot reorder across runs,
-		// so the result is unique — stable by construction.
-		slices.SortFunc(idx, func(a, b int32) int {
-			ka, kb := keys[a], keys[b]
-			if ka < kb {
-				return -1
-			}
-			if ka > kb {
-				return 1
-			}
-			return int(a - b)
-		})
-	}
-	// MinLeaf >= 1 bounds the tree at 2n-1 nodes; reserving that up front
-	// makes every pushLeaf/pushSplit append allocation-free.
-	maxNodes := 2*ws.n - 1
-	t.feature = make([]int32, 0, maxNodes)
-	t.thresh = make([]float64, 0, maxNodes)
-	t.left = make([]int32, 0, maxNodes)
-	t.right = make([]int32, 0, maxNodes)
-	t.value = make([]float64, 0, maxNodes)
+	t.nodes = ws.nodes[:0]
 	t.grow(ws, 0, ws.n, 0)
+	ws.nodes = t.nodes
+	t.nodes = append(make([]node, 0, len(ws.nodes)), ws.nodes...)
 }
 
-func (t *Tree) pushLeaf(mean float64) int32 {
-	i := int32(len(t.feature))
-	t.feature = append(t.feature, -1)
-	t.thresh = append(t.thresh, 0)
-	t.left = append(t.left, -1)
-	t.right = append(t.right, -1)
-	t.value = append(t.value, mean)
-	return i
+func (t *Tree) pushLeaf(mean float64) {
+	t.nodes = append(t.nodes, node{thresh: mean, feature: -1, right: -1})
 }
 
 func (t *Tree) pushSplit(feature int, thresh float64) int32 {
-	i := int32(len(t.feature))
-	t.feature = append(t.feature, int32(feature))
-	t.thresh = append(t.thresh, thresh)
-	t.left = append(t.left, -1)
-	t.right = append(t.right, -1)
-	t.value = append(t.value, 0)
+	i := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{thresh: thresh, feature: int32(feature), right: -1})
 	return i
 }
 
-// grow builds the subtree over segment [lo, hi) of the workspace index
-// arrays and returns its root node index. The scan preserves the legacy
-// engine's selection semantics exactly: splits are only evaluated between
-// strictly distinct adjacent sorted values, gains compare with strict >, and
+// grow appends the subtree over segment [lo, hi) of the workspace index
+// arrays to t.nodes in preorder. The scan preserves the legacy engine's
+// selection semantics exactly: splits are only evaluated between strictly
+// distinct adjacent sorted values, gains compare with strict >, and
 // candidate features are probed in picker order.
-func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) int32 {
+func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) {
 	m := hi - lo
 	rows := ws.rows[lo:hi]
 	mean := meanRows(ws.y, rows)
 	if m < 2*t.MinLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || pureRows(ws.y, rows) {
-		return t.pushLeaf(mean)
+		t.pushLeaf(mean)
+		return
 	}
 
 	feats := ws.allFeats
@@ -241,7 +282,8 @@ func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) int32 {
 		}
 	}
 	if bestFeat < 0 || bestGain <= 1e-12 {
-		return t.pushLeaf(mean)
+		t.pushLeaf(mean)
+		return
 	}
 
 	// Stable in-place partition of every per-feature segment (and the row
@@ -261,10 +303,10 @@ func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) int32 {
 		stablePartition(ws.sorted[f][lo:hi], ws.goesLeft, ws.tmp)
 	}
 
-	node := t.pushSplit(bestFeat, bestThresh)
-	t.left[node] = t.grow(ws, lo, lo+nl, depth+1)
-	t.right[node] = t.grow(ws, lo+nl, hi, depth+1)
-	return node
+	split := t.pushSplit(bestFeat, bestThresh)
+	t.grow(ws, lo, lo+nl, depth+1)
+	t.nodes[split].right = int32(len(t.nodes))
+	t.grow(ws, lo+nl, hi, depth+1)
 }
 
 // stablePartition reorders seg so rows flagged goesLeft come first, both
@@ -288,19 +330,19 @@ func stablePartition(seg []int32, goesLeft []bool, tmp []int32) {
 // cannot be routed through the tree; Predict returns 0 for it (use
 // PredictBatch for an explicit error). Extra trailing features are ignored.
 func (t *Tree) Predict(x []float64) float64 {
-	if len(t.feature) == 0 || len(x) < t.d {
+	if len(t.nodes) == 0 || len(x) < t.d {
 		return 0
 	}
 	i := int32(0)
 	for {
-		f := t.feature[i]
-		if f < 0 {
-			return t.value[i]
+		nd := &t.nodes[i]
+		if nd.feature < 0 {
+			return nd.thresh
 		}
-		if x[f] <= t.thresh[i] {
-			i = t.left[i]
+		if x[nd.feature] <= nd.thresh {
+			i++
 		} else {
-			i = t.right[i]
+			i = nd.right
 		}
 	}
 }
@@ -309,7 +351,7 @@ func (t *Tree) Predict(x []float64) float64 {
 // whose width differs from the training dimension — the checked counterpart
 // of Predict's documented zero fallback.
 func (t *Tree) PredictBatch(X [][]float64) ([]float64, error) {
-	if len(t.feature) == 0 {
+	if len(t.nodes) == 0 {
 		return nil, errUnfitted("tree")
 	}
 	if err := checkRowWidths(X, t.d); err != nil {
@@ -324,28 +366,24 @@ func (t *Tree) PredictBatch(X [][]float64) ([]float64, error) {
 
 // Depth returns the fitted tree's depth (0 for a stump).
 func (t *Tree) Depth() int {
-	if len(t.feature) == 0 {
+	if len(t.nodes) == 0 {
 		return 0
 	}
 	return t.depthAt(0)
 }
 
 func (t *Tree) depthAt(i int32) int {
-	if t.feature[i] < 0 {
+	if t.nodes[i].feature < 0 {
 		return 0
 	}
-	l, r := t.depthAt(t.left[i]), t.depthAt(t.right[i])
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return 1 + max(t.depthAt(i+1), t.depthAt(t.nodes[i].right))
 }
 
 // Leaves returns the fitted leaf count.
 func (t *Tree) Leaves() int {
 	var n int
-	for _, f := range t.feature {
-		if f < 0 {
+	for _, nd := range t.nodes {
+		if nd.feature < 0 {
 			n++
 		}
 	}
@@ -356,12 +394,12 @@ func (t *Tree) Leaves() int {
 // Children follow their parent in the preorder layout, so one reverse sweep
 // suffices.
 func (t *Tree) subtreeLeafCounts() []int32 {
-	counts := make([]int32, len(t.feature))
-	for i := len(t.feature) - 1; i >= 0; i-- {
-		if t.feature[i] < 0 {
+	counts := make([]int32, len(t.nodes))
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		if nd := t.nodes[i]; nd.feature < 0 {
 			counts[i] = 1
 		} else {
-			counts[i] = counts[t.left[i]] + counts[t.right[i]]
+			counts[i] = counts[i+1] + counts[nd.right]
 		}
 	}
 	return counts

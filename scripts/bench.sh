@@ -89,19 +89,22 @@ END {
 echo "wrote $OUT"
 
 # ML training engine: tree fit, the acceptance-gate forest fit (n=1000, d=16,
-# 100 trees), block prediction, and the Lasso/SVR solver fits on their bench
+# 100 trees), the dataset-shaped forest fit (40 inputs x 25 clocks, three
+# discrete input features plus the clock column, 100 trees; no legacy
+# baseline), block prediction, and the Lasso/SVR solver fits on their bench
 # shapes. The legacy_* fields below were measured once from the pre-refactor
 # engines — per-node reflection sort.Slice for the trees, residual-update
 # coordinate descent for the Lasso, the [][]float64-kernel eager-sweep dual
 # solver for the SVR — at benchtime 3x on the reference runner (Intel Xeon @
 # 2.10GHz), and stay fixed so every rerun reports the speedup of the current
 # engines against those baselines.
-mlraw=$(go test -bench 'TreeFit|ForestFitLarge|ForestPredictBatch|LassoFit|SVRFit' -benchmem -benchtime "$BENCHTIME" -run '^$' ./internal/ml)
+mlraw=$(go test -bench 'TreeFit|ForestFitLarge|ForestFitTies|ForestPredictBatch|LassoFit|SVRFit' -benchmem -benchtime "$BENCHTIME" -run '^$' ./internal/ml)
 echo "$mlraw"
 
 echo "$mlraw" | awk -v out="$ML_OUT" '
 /^BenchmarkTreeFit[-\t ]/            { tree_ns = $3; tree_allocs = $7 }
 /^BenchmarkForestFitLarge[-\t ]/     { forest_ns = $3; forest_allocs = $7 }
+/^BenchmarkForestFitTies[-\t ]/      { ties_ns = $3; ties_allocs = $7 }
 /^BenchmarkForestPredictBatch[-\t ]/ { batch_ns = $3 }
 /^BenchmarkLassoFit[-\t ]/           { lasso_ns = $3 }
 /^BenchmarkLassoFitWide[-\t ]/       { lassow_ns = $3 }
@@ -109,7 +112,7 @@ echo "$mlraw" | awk -v out="$ML_OUT" '
 /^BenchmarkSVRFitLarge[-\t ]/        { svrl_ns = $3 }
 /^cpu:/ { $1 = ""; sub(/^ /, ""); cpu = $0 }
 END {
-    if (tree_ns == "" || forest_ns == "" || batch_ns == "" || lasso_ns == "" || lassow_ns == "" || svr_ns == "" || svrl_ns == "") {
+    if (tree_ns == "" || forest_ns == "" || ties_ns == "" || batch_ns == "" || lasso_ns == "" || lassow_ns == "" || svr_ns == "" || svrl_ns == "") {
         print "bench.sh: missing ML benchmark rows in go test output" > "/dev/stderr"
         exit 1
     }
@@ -125,6 +128,7 @@ END {
         tree_ns, tree_allocs, legacy_tree_ns, legacy_tree_allocs, legacy_tree_ns / tree_ns, legacy_tree_allocs / tree_allocs >> out
     printf "  \"forest_fit_large\": {\"ns_op\": %s, \"allocs_op\": %s, \"legacy_ns_op\": %d, \"legacy_allocs_op\": %d, \"speedup\": %.3f, \"alloc_ratio\": %.3f},\n", \
         forest_ns, forest_allocs, legacy_forest_ns, legacy_forest_allocs, legacy_forest_ns / forest_ns, legacy_forest_allocs / forest_allocs >> out
+    printf "  \"forest_fit_ties\": {\"ns_op\": %s, \"allocs_op\": %s},\n", ties_ns, ties_allocs >> out
     printf "  \"forest_predict_batch\": {\"ns_op\": %s, \"legacy_ns_op\": %d, \"speedup\": %.3f},\n", \
         batch_ns, legacy_batch_ns, legacy_batch_ns / batch_ns >> out
     printf "  \"lasso_fit\": {\"ns_op\": %s, \"legacy_ns_op\": %d, \"speedup\": %.3f},\n", \
