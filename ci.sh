@@ -42,22 +42,22 @@ go test -race ./...
 # scheduler (serial core, but its campaign fans out over forked observers),
 # the MHD solver's slab fan-out (tiled sweeps writing disjoint slabs of
 # shared SoA state), the frequency-advisor service (RCU hot-reload registry
-# read concurrently by sharded event loops), the gpusim analytic cache (RCU
-# snapshots compiled under a mutex, read lock-free by forked devices) and the
-# synergy sweep engine that hammers it from parallel workers are where a
+# read concurrently by sharded event loops), the gpusim device forks (split
+# noise streams and shared immutable frequency tables) and the synergy sweep
+# engine that measures those forks from parallel workers are where a
 # scheduling race would hide: run their packages twice under the race
 # detector so goroutine interleavings get a second roll of the dice.
 echo "==> go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy"
 go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy
 
-# Width sweep for the training path: the forest fans trees out over
-# GOMAXPROCS workers, each drawing a pooled workspace that carries the
-# counting-sort and node scratch while all trees read one shared rank table.
-# Run the ml and core suites at widths 1, 2 and 4 so the fan-out and the
-# pooled workspaces are exercised at several widths, not only at the host's
-# GOMAXPROCS.
-echo "==> go test -cpu 1,2,4 ./internal/ml ./internal/core"
-go test -cpu 1,2,4 ./internal/ml ./internal/core
+# Width sweep for the training and sweep paths: the forest fans trees out
+# over GOMAXPROCS workers, each drawing a pooled workspace that carries the
+# counting-sort and node scratch while all trees read one shared rank table,
+# and ParallelSweep measures forked devices on a worker pool. Run the ml,
+# core, synergy and gpusim suites at widths 1, 2 and 4 so the fan-outs are
+# exercised at several widths, not only at the host's GOMAXPROCS.
+echo "==> go test -cpu 1,2,4 ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim"
+go test -cpu 1,2,4 ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim
 
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the
@@ -66,13 +66,9 @@ go test -cpu 1,2,4 ./internal/ml ./internal/core
 echo "==> cronos tiled determinism smoke"
 go test -race -run 'TestTileWidthInvariance|TestGolden|TestWorkerCountDoesNotChangeResult' -count=2 ./internal/cronos
 
-# Analytic-cache transparency smoke: the compiled-profile cache is a pure
-# evaluation shortcut, so sweeping with it attached and detached must agree
-# on every observable byte (measurements, event logs, energy counters),
-# serially and under ParallelSweep; the golden suite pins the compiled
+# Analytic golden smoke: the golden suite pins the compiled two-stage
 # evaluator bit-for-bit against the pre-rewrite engine's recorded outputs.
-echo "==> gpusim cache-on vs cache-off byte-identity smoke"
-go test -race -run 'TestSweepCacheOnOffByteIdentical' -count=2 ./internal/synergy
+echo "==> gpusim analytic golden smoke"
 go test -run 'TestGoldenAnalytic' -count=1 ./internal/gpusim
 
 # The analysis engine itself must be deterministic and race-free: its tests

@@ -20,6 +20,8 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 
 	"dsenergy/internal/kernels"
@@ -118,33 +120,95 @@ type Spec struct {
 	LaunchCycles float64
 }
 
-// Validate reports whether the spec is internally consistent.
+// Spec magnitude envelope: every float parameter must lie within
+// ±specMaxMagnitude, and the parameters the model divides by (or multiplies
+// into a divisor) must be at least specMinPositive. Both bounds sit many
+// orders of magnitude beyond any physical device — the presets span roughly
+// 1e-6 to 1e7 — yet keep every product and quotient of the model finite.
+const (
+	specMaxMagnitude = 1e12
+	specMinPositive  = 1e-12
+)
+
+// Validate reports whether the spec is internally consistent and inside the
+// envelope where the analytical model yields finite time and energy. Each
+// error names the offending field.
 func (s Spec) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("gpusim: %s: "+format, append([]any{s.Name}, args...)...)
+	}
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Float64 {
+			continue
+		}
+		name, x := v.Type().Field(i).Name, v.Field(i).Float()
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return bad("%s is not finite", name)
+		}
+		if math.Abs(x) > specMaxMagnitude {
+			return bad("%s = %g exceeds magnitude %g", name, x, specMaxMagnitude)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		x    float64
+	}{
+		{"ComputeEff", s.ComputeEff}, {"MemEff", s.MemEff}, {"PeakBWGBs", s.PeakBWGBs},
+		{"ConcurrentItems", s.ConcurrentItems}, {"BWSaturateItems", s.BWSaturateItems}, {"VMin", s.VMin},
+	} {
+		if f.x < specMinPositive {
+			return bad("%s = %g must be at least %g", f.name, f.x, specMinPositive)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		x    float64
+	}{
+		{"IdleW", s.IdleW}, {"LeakCoeffW", s.LeakCoeffW}, {"DynCoeffW", s.DynCoeffW},
+		{"ClockCoeffW", s.ClockCoeffW}, {"MemCoeffWGBs", s.MemCoeffWGBs},
+		{"LaunchFixedS", s.LaunchFixedS}, {"LaunchCycles", s.LaunchCycles},
+		{"LLCBytes", s.LLCBytes}, {"VExp", s.VExp},
+	} {
+		if f.x < 0 {
+			return bad("%s = %g is negative", f.name, f.x)
+		}
+	}
 	switch {
 	case s.NumCU <= 0 || s.LanesPerCU <= 0:
-		return fmt.Errorf("gpusim: %s: non-positive compute geometry", s.Name)
+		return bad("non-positive compute geometry NumCU=%d LanesPerCU=%d", s.NumCU, s.LanesPerCU)
+	case s.NumCU > math.MaxInt/s.LanesPerCU:
+		return bad("NumCU·LanesPerCU overflows")
 	case len(s.CoreFreqsMHz) < 2:
-		return fmt.Errorf("gpusim: %s: frequency table too small", s.Name)
+		return bad("CoreFreqsMHz table too small")
 	case !sort.IntsAreSorted(s.CoreFreqsMHz):
-		return fmt.Errorf("gpusim: %s: frequency table not ascending", s.Name)
-	case s.ComputeEff <= 0 || s.ComputeEff > 1:
-		return fmt.Errorf("gpusim: %s: ComputeEff out of (0,1]", s.Name)
-	case s.MemEff <= 0 || s.MemEff > 1:
-		return fmt.Errorf("gpusim: %s: MemEff out of (0,1]", s.Name)
-	case s.VMin <= 0 || s.VMax < s.VMin:
-		return fmt.Errorf("gpusim: %s: bad voltage range", s.Name)
+		return bad("CoreFreqsMHz table not ascending")
+	case s.CoreFreqsMHz[0] <= 0:
+		return bad("CoreFreqsMHz lowest clock %d MHz is not positive", s.CoreFreqsMHz[0])
+	case s.ComputeEff > 1:
+		return bad("ComputeEff %g above 1", s.ComputeEff)
+	case s.MemEff > 1:
+		return bad("MemEff %g above 1", s.MemEff)
+	case s.VMax < s.VMin:
+		return bad("VMax %g below VMin %g", s.VMax, s.VMin)
 	case s.Vendor == NVIDIA && s.DefaultFreqMHz == 0:
-		return fmt.Errorf("gpusim: %s: NVIDIA device needs DefaultFreqMHz", s.Name)
+		return bad("NVIDIA device needs DefaultFreqMHz")
 	case s.Vendor == AMD && s.AutoFreqMHz == 0:
-		return fmt.Errorf("gpusim: %s: AMD device needs AutoFreqMHz", s.Name)
+		return bad("AMD device needs AutoFreqMHz")
 	}
 	// sort.IntsAreSorted accepts adjacent duplicates, but the menu must be
-	// strictly ascending: the analytic cache keys dense curve slots by menu
-	// position, and a repeated clock would alias two slots to one frequency.
+	// strictly ascending: menuIndex binary-searches it for a clock's
+	// tabulated terms, and the throttle walk steps down it one clock at a
+	// time.
 	for i := 1; i < len(s.CoreFreqsMHz); i++ {
 		if s.CoreFreqsMHz[i] == s.CoreFreqsMHz[i-1] {
 			return &DuplicateFreqError{Device: s.Name, MHz: s.CoreFreqsMHz[i]}
 		}
+	}
+	// The bandwidth knee decays achieved bandwidth toward the lowest clock;
+	// a knee steep enough to starve it would make memory time unbounded.
+	if f := s.bwFactorAt(s.FMinMHz()); f < specMinPositive {
+		return bad("BWKnee/BWKneeExp leave bandwidth factor %g at %d MHz", f, s.FMinMHz())
 	}
 	return nil
 }
@@ -235,21 +299,9 @@ type Device struct {
 	// rng is the noise stream behind the noise model, retained so Fork can
 	// split it deterministically.
 	rng *xrand.Rand
-	// tables caches the frequency-dependent model terms over the clock menu
-	// (built once in New, immutable, shared by forks); cache memoizes
-	// compiled profiles and their dense menu curves. Both are safe to share
-	// across every fork of this device: the analytic model is a pure
-	// function of (spec, profile, frequency), so cached values are
-	// bit-identical to recomputed ones.
+	// tables holds the frequency-dependent model terms over the clock menu
+	// (built once in New, immutable, shared by forks).
 	tables *freqTables
-	cache  *analyticCache
-	// lastProfile/lastEntry memoize the most recent cache entry served to
-	// this device (sweeps touch one kernel across the whole menu, so the
-	// memo turns the common lookup into a struct compare). Private per
-	// device — never shared with forks' future lookups racing — and safe to
-	// seed from the parent at Fork: entries are immutable and live forever.
-	lastProfile kernels.Profile
-	lastEntry   *profileEntry
 	// Observability handles (nil when no observer is attached; all no-ops
 	// then). Resolved once in SetObserver and shared by forks — counter
 	// accumulation is order-invariant, so sharing cannot perturb exports.
@@ -264,9 +316,8 @@ func New(spec Spec, seed uint64) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		spec:  spec,
-		rng:   xrand.New(seed),
-		cache: newAnalyticCache(),
+		spec: spec,
+		rng:  xrand.New(seed),
 	}
 	d.tables = newFreqTables(&d.spec)
 	d.noise = NewNoiseModel(DefaultNoiseSigma, d.rng)
@@ -277,8 +328,8 @@ func New(spec Spec, seed uint64) (*Device, error) {
 // Fork derives a child device for one task of a pre-split parallel
 // execution: same spec, clock and power cap, a fresh energy counter, a noise
 // stream split off the parent's (so the child's draws are deterministic in
-// the fork order, not in the schedule), and the parent's shared analytic
-// cache. Forking advances the parent's noise stream by exactly one draw,
+// the fork order, not in the schedule), and the parent's immutable frequency
+// tables. Forking advances the parent's noise stream by exactly one draw,
 // like any other stream split.
 func (d *Device) Fork() *Device {
 	child := &Device{
@@ -287,9 +338,6 @@ func (d *Device) Fork() *Device {
 		powerCapW:   d.powerCapW,
 		rng:         d.rng.Split(),
 		tables:      d.tables,
-		cache:       d.cache,
-		lastProfile: d.lastProfile,
-		lastEntry:   d.lastEntry,
 		launches:    d.launches,
 		dvfs:        d.dvfs,
 	}
@@ -298,17 +346,12 @@ func (d *Device) Fork() *Device {
 }
 
 // SetObserver attaches an observability sink to the device: kernel-launch
-// and DVFS-transition counters plus the shared analytic cache's hit/miss
-// counters (unstable tier — parallel forks can race on a miss, so those
-// totals depend on scheduling). Call before the device is used from worker
+// and DVFS-transition counters. Call before the device is used from worker
 // goroutines; forks inherit the parent's handles. A nil observer detaches.
 func (d *Device) SetObserver(o *obs.Observer) {
 	m := o.Metrics()
 	d.launches = m.Counter("gpusim_kernel_launches_total", obs.L("device", d.spec.Name))
 	d.dvfs = m.Counter("gpusim_dvfs_transitions_total", obs.L("device", d.spec.Name))
-	if d.cache != nil {
-		d.cache.setObserver(m, d.spec.Name)
-	}
 }
 
 // Spec returns the device description.
@@ -379,37 +422,25 @@ func (d *Device) SteadyTempC(p kernels.Profile, mhz int) float64 {
 }
 
 // throttledFreq returns the frequency the power/thermal governor actually
-// runs p at: the requested clock, or the highest clock whose predicted power
-// fits the effective cap. If even the lowest clock exceeds the cap, the
-// lowest clock is used (matching real governors, which cannot stop the clock
-// entirely).
-func (d *Device) throttledFreq(p kernels.Profile, mhz int) int {
+// runs the compiled profile at: the requested clock, or the highest menu
+// clock whose predicted power fits the effective cap. If even the lowest
+// clock exceeds the cap, the lowest clock is used (matching real governors,
+// which cannot stop the clock entirely).
+func (d *Device) throttledFreq(cp *compiledProfile, mhz int) int {
 	cap := d.effectiveCapW()
 	if cap == 0 {
 		return mhz
 	}
-	if d.AnalyzeAt(p, mhz).TotalPowerW <= cap {
+	var b Breakdown
+	d.evalFreqInto(&b, cp, mhz)
+	if b.TotalPowerW <= cap {
 		return mhz
 	}
 	freqs := d.spec.CoreFreqsMHz
-	i := sort.SearchInts(freqs, mhz)
-	if i >= len(freqs) {
-		i = len(freqs) - 1
-	}
-	if d.cache != nil {
-		// The downclock walk scans the profile's dense compiled curve in
-		// place: one snapshot read for the whole descent instead of a cache
-		// lookup per candidate clock.
-		e := d.entryFor(&p)
-		for ; i > 0; i-- {
-			if e.curve[i].TotalPowerW <= cap {
-				return freqs[i]
-			}
-		}
-		return freqs[0]
-	}
+	i := min(sort.SearchInts(freqs, mhz), len(freqs)-1)
 	for ; i > 0; i-- {
-		if d.AnalyzeAt(p, freqs[i]).TotalPowerW <= cap {
+		d.spec.evalInto(&b, cp, &d.tables.terms[i])
+		if b.TotalPowerW <= cap {
 			return freqs[i]
 		}
 	}
@@ -441,11 +472,7 @@ func (d *Device) Run(p kernels.Profile) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := d.Analytic(p, d.throttledFreq(p, d.coreFreqMHz))
-	r = d.noise.Perturb(r)
-	d.energyJ += r.EnergyJ
-	d.launches.Inc()
-	return r, nil
+	return d.run(&p, d.coreFreqMHz), nil
 }
 
 // RunAt is Run at an explicit frequency; the device clock is left unchanged.
@@ -456,11 +483,20 @@ func (d *Device) RunAt(p kernels.Profile, mhz int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := d.Analytic(p, d.throttledFreq(p, mhz))
-	r = d.noise.Perturb(r)
+	return d.run(&p, mhz), nil
+}
+
+// run compiles p once, evaluates it at the clock the governor allows for
+// mhz, applies measurement noise and advances the energy counter.
+func (d *Device) run(p *kernels.Profile, mhz int) Result {
+	var cp compiledProfile
+	d.spec.compileInto(&cp, p)
+	var b Breakdown
+	d.evalFreqInto(&b, &cp, d.throttledFreq(&cp, mhz))
+	r := d.noise.Perturb(Result{TimeS: b.TimeS, EnergyJ: b.EnergyJ, AvgPowerW: b.TotalPowerW})
 	d.energyJ += r.EnergyJ
 	d.launches.Inc()
-	return r, nil
+	return r
 }
 
 // SetNoiseSigma replaces the relative noise level (0 disables noise).

@@ -213,26 +213,35 @@ func (s *Spec) evalInto(out *Breakdown, cp *compiledProfile, ft *freqTerms) {
 	out.EnergyJ = powerW * total
 }
 
-// analyzeInto is the uncached evaluation of the noiseless analytical model
-// for profile p at the given core frequency: compile the profile on the fly,
-// fetch (or compute) the frequency terms, evaluate. It is pure in
-// (spec, p, mhz), which is what makes the memoization in AnalyzeAt
-// (cache.go) sound.
-func (d *Device) analyzeInto(out *Breakdown, p *kernels.Profile, mhz int) {
+// AnalyzeAt evaluates the noiseless analytical model for profile p at the
+// given core frequency: compile the profile, then evaluate it at mhz.
+func (d *Device) AnalyzeAt(p kernels.Profile, mhz int) (b Breakdown) {
 	var cp compiledProfile
-	d.spec.compileInto(&cp, p)
-	d.evalFreqInto(out, &cp, mhz)
+	d.spec.compileInto(&cp, &p)
+	d.evalFreqInto(&b, &cp, mhz)
+	return b
+}
+
+// AnalyzeCurve evaluates the model for p at every frequency in freqs,
+// compiling the profile once for the whole batch. Each returned Breakdown is
+// bit-identical to AnalyzeAt(p, freqs[i]).
+func (d *Device) AnalyzeCurve(p kernels.Profile, freqs []int) []Breakdown {
+	out := make([]Breakdown, len(freqs))
+	var cp compiledProfile
+	d.spec.compileInto(&cp, &p)
+	for i, f := range freqs {
+		d.evalFreqInto(&out[i], &cp, f)
+	}
+	return out
 }
 
 // evalFreqInto evaluates one compiled profile at mhz: against the tabulated
 // frequency terms in place when mhz is on the clock menu, against directly
 // computed terms otherwise.
 func (d *Device) evalFreqInto(out *Breakdown, cp *compiledProfile, mhz int) {
-	if d.tables != nil {
-		if i, ok := d.tables.menuIndex(mhz); ok {
-			d.spec.evalInto(out, cp, &d.tables.terms[i])
-			return
-		}
+	if i, ok := d.tables.menuIndex(mhz); ok {
+		d.spec.evalInto(out, cp, &d.tables.terms[i])
+		return
 	}
 	ft := d.spec.freqTermsAt(mhz)
 	d.spec.evalInto(out, cp, &ft)

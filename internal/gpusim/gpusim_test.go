@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,24 +68,52 @@ func TestV100FrequencyTable(t *testing.T) {
 	}
 }
 
+// specValidationCases mutates the V100 preset into specs Validate must
+// reject, one row per rule; field is the name the error must mention.
+var specValidationCases = []struct {
+	name  string
+	field string
+	mut   func(*Spec)
+}{
+	{"no CUs", "NumCU", func(s *Spec) { s.NumCU = 0 }},
+	{"lane overflow", "LanesPerCU", func(s *Spec) { s.NumCU, s.LanesPerCU = math.MaxInt/2, 4 }},
+	{"short table", "CoreFreqsMHz", func(s *Spec) { s.CoreFreqsMHz = []int{100} }},
+	{"unsorted table", "CoreFreqsMHz", func(s *Spec) { s.CoreFreqsMHz = []int{200, 100, 300} }},
+	{"non-positive lowest clock", "CoreFreqsMHz", func(s *Spec) { s.CoreFreqsMHz = []int{0, 100, 1297} }},
+	{"bad eff", "ComputeEff", func(s *Spec) { s.ComputeEff = 1.5 }},
+	{"NaN eff", "ComputeEff", func(s *Spec) { s.ComputeEff = math.NaN() }},
+	{"NaN voltage", "VMin", func(s *Spec) { s.VMin = math.NaN() }},
+	{"bad voltage", "VMax", func(s *Spec) { s.VMax = 0.1 }},
+	{"infinite idle power", "IdleW", func(s *Spec) { s.IdleW = math.Inf(1) }},
+	{"oversized coefficient", "DynCoeffW", func(s *Spec) { s.DynCoeffW = 1e300 }},
+	{"zero bandwidth", "PeakBWGBs", func(s *Spec) { s.PeakBWGBs = 0 }},
+	{"vanishing memory efficiency", "MemEff", func(s *Spec) { s.MemEff = 1e-300 }},
+	{"zero resident items", "ConcurrentItems", func(s *Spec) { s.ConcurrentItems = 0 }},
+	{"negative saturation items", "BWSaturateItems", func(s *Spec) { s.BWSaturateItems = -1 }},
+	{"negative idle power", "IdleW", func(s *Spec) { s.IdleW = -1 }},
+	{"negative leakage", "LeakCoeffW", func(s *Spec) { s.LeakCoeffW = -1 }},
+	{"negative dynamic power", "DynCoeffW", func(s *Spec) { s.DynCoeffW = -1 }},
+	{"negative clock power", "ClockCoeffW", func(s *Spec) { s.ClockCoeffW = -1 }},
+	{"negative memory power", "MemCoeffWGBs", func(s *Spec) { s.MemCoeffWGBs = -1 }},
+	{"negative launch time", "LaunchFixedS", func(s *Spec) { s.LaunchFixedS = -1e-6 }},
+	{"negative launch cycles", "LaunchCycles", func(s *Spec) { s.LaunchCycles = -1 }},
+	{"negative LLC", "LLCBytes", func(s *Spec) { s.LLCBytes = -1 }},
+	{"negative voltage exponent", "VExp", func(s *Spec) { s.VExp = -1 }},
+	{"starving bandwidth knee", "BWKnee", func(s *Spec) { s.BWKneeExp = 1e6 }},
+	{"nvidia no default", "DefaultFreqMHz", func(s *Spec) { s.DefaultFreqMHz = 0 }},
+}
+
 func TestSpecValidationErrors(t *testing.T) {
-	base := V100Spec()
-	cases := []struct {
-		name string
-		mut  func(*Spec)
-	}{
-		{"no CUs", func(s *Spec) { s.NumCU = 0 }},
-		{"short table", func(s *Spec) { s.CoreFreqsMHz = []int{100} }},
-		{"unsorted table", func(s *Spec) { s.CoreFreqsMHz = []int{200, 100, 300} }},
-		{"bad eff", func(s *Spec) { s.ComputeEff = 1.5 }},
-		{"bad voltage", func(s *Spec) { s.VMax = 0.1 }},
-		{"nvidia no default", func(s *Spec) { s.DefaultFreqMHz = 0 }},
-	}
-	for _, c := range cases {
-		s := base
+	for _, c := range specValidationCases {
+		s := V100Spec()
 		c.mut(&s)
-		if err := s.Validate(); err == nil {
+		err := s.Validate()
+		if err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
 	amd := MI100Spec()
@@ -363,48 +392,13 @@ func TestAnalyticAlwaysPositive(t *testing.T) {
 }
 
 func BenchmarkAnalyzeAt(b *testing.B) {
-	// cached: steady-state hit on the device's analytic cache (the shape of
-	// every repeated sweep/probe/decision evaluation).
-	b.Run("cached", func(b *testing.B) {
-		d := mustNew(b, V100Spec(), 1)
-		p := computeBound()
-		d.AnalyzeAt(p, 1297)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = d.AnalyzeAt(p, 1297)
-		}
-	})
-	// uncached: the pure evaluation cost with the cache disabled — the cost
-	// every first touch of a (profile, frequency) pays.
-	b.Run("uncached", func(b *testing.B) {
-		d := mustNew(b, V100Spec(), 1)
-		d.cache = nil
-		p := computeBound()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = d.AnalyzeAt(p, 1297)
-		}
-	})
-	// contention: GOMAXPROCS goroutines hammering one shared cache across the
-	// clock menu, the parallel-sweep access pattern (forked devices share the
-	// parent's cache).
-	b.Run("contention", func(b *testing.B) {
-		d := mustNew(b, V100Spec(), 1)
-		p := computeBound()
-		freqs := d.Spec().CoreFreqsMHz
-		for _, f := range freqs {
-			d.AnalyzeAt(p, f)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			c := d.Fork()
-			i := 0
-			for pb.Next() {
-				_ = c.AnalyzeAt(p, freqs[i%len(freqs)])
-				i++
-			}
-		})
-	})
+	// One on-menu evaluation: compile the profile, evaluate it against the
+	// tabulated frequency terms.
+	d := mustNew(b, V100Spec(), 1)
+	p := computeBound()
+	for i := 0; i < b.N; i++ {
+		_ = d.AnalyzeAt(p, 1297)
+	}
 }
 
 func TestPowerCapThrottles(t *testing.T) {

@@ -1,8 +1,6 @@
 package gpusim
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"dsenergy/internal/obs"
@@ -65,34 +63,6 @@ func TestForkSharesObserverHandles(t *testing.T) {
 	launches := o.Metrics().Counter("gpusim_kernel_launches_total", obs.L("device", d.Spec().Name))
 	if got := launches.Value(); got != 2 {
 		t.Fatalf("fork must share the parent's launch counter: got %d, want 2", got)
-	}
-}
-
-func TestCacheCountersAreUnstableTier(t *testing.T) {
-	o := obs.NewObserver()
-	d := mustNew(t, V100Spec(), 1)
-	d.SetObserver(o)
-	p := computeBound()
-	d.AnalyzeAt(p, 1297) // miss
-	d.AnalyzeAt(p, 1297) // hit
-	var det bytes.Buffer
-	if err := o.WriteMetricsText(&det); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(det.String(), "analytic_cache") {
-		t.Fatalf("cache counters must not appear in the deterministic export:\n%s", det.String())
-	}
-	var prof bytes.Buffer
-	if err := o.WriteProfileText(&prof); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"gpusim_analytic_cache_hits_total{device=NVIDIA V100} 1",
-		"gpusim_analytic_cache_misses_total{device=NVIDIA V100} 1",
-	} {
-		if !strings.Contains(prof.String(), want) {
-			t.Fatalf("profile dump missing %q:\n%s", want, prof.String())
-		}
 	}
 }
 

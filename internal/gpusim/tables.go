@@ -2,44 +2,22 @@ package gpusim
 
 import "sort"
 
-// freqTables caches the frequency-dependent model terms over a device's
+// freqTables holds the frequency-dependent model terms over a device's
 // clock menu, indexed by menu position. Built once in New from the validated
 // spec, immutable afterwards, and shared by every Fork of the device — the
 // menu is fixed for the device's lifetime, so the table never invalidates.
 type freqTables struct {
-	menu    []int       // ascending clock menu (aliases Spec.CoreFreqsMHz)
-	terms   []freqTerms // terms[i] = freqTermsAt(menu[i])
-	fminMHz int
-	// byOffset direct-addresses mhz-fminMHz to a menu index (-1 off-menu),
-	// making the hot-path index lookup one bounds check and one load. nil
-	// when the menu spans too many MHz to justify the table; menuIndex then
-	// falls back to binary search.
-	byOffset []int32
+	menu  []int       // strictly ascending clock menu (aliases Spec.CoreFreqsMHz)
+	terms []freqTerms // terms[i] = freqTermsAt(menu[i])
 }
-
-// maxDirectSpanMHz bounds the direct-address index: real clock menus span a
-// couple thousand MHz (a few KiB of int32), but the spec surface accepts
-// arbitrary tables and a degenerate menu like {1, 10_000_000} must not
-// allocate megabytes per device.
-const maxDirectSpanMHz = 1 << 16
 
 func newFreqTables(s *Spec) *freqTables {
 	t := &freqTables{
-		menu:    s.CoreFreqsMHz,
-		terms:   make([]freqTerms, len(s.CoreFreqsMHz)),
-		fminMHz: s.FMinMHz(),
+		menu:  s.CoreFreqsMHz,
+		terms: make([]freqTerms, len(s.CoreFreqsMHz)),
 	}
 	for i, f := range s.CoreFreqsMHz {
 		t.terms[i] = s.freqTermsAt(f)
-	}
-	if span := s.FMaxMHz() - t.fminMHz + 1; span <= maxDirectSpanMHz {
-		t.byOffset = make([]int32, span)
-		for i := range t.byOffset {
-			t.byOffset[i] = -1
-		}
-		for i, f := range s.CoreFreqsMHz {
-			t.byOffset[f-t.fminMHz] = int32(i)
-		}
 	}
 	return t
 }
@@ -47,17 +25,6 @@ func newFreqTables(s *Spec) *freqTables {
 // menuIndex returns the clock-menu position of mhz, or ok=false when mhz is
 // not a selectable frequency.
 func (t *freqTables) menuIndex(mhz int) (int, bool) {
-	if t.byOffset != nil {
-		off := mhz - t.fminMHz
-		if off < 0 || off >= len(t.byOffset) {
-			return 0, false
-		}
-		i := t.byOffset[off]
-		if i < 0 {
-			return 0, false
-		}
-		return int(i), true
-	}
 	i := sort.SearchInts(t.menu, mhz)
 	if i < len(t.menu) && t.menu[i] == mhz {
 		return i, true

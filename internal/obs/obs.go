@@ -10,9 +10,9 @@
 //     functions of the simulated work itself (kernel launches, DVFS
 //     transitions, injected faults, CV folds): integer counts and
 //     order-invariant histogram statistics, so the export is byte-identical
-//     across runs and worker counts. Scheduling-dependent values (analytic
-//     cache hits/misses) are registered as *unstable* and excluded from the
-//     deterministic export.
+//     across runs and worker counts. Scheduling-dependent values (counts
+//     that depend on goroutine interleaving) are registered as *unstable*
+//     and excluded from the deterministic export.
 //   - Traces (Trace): spans keyed on *simulated* time — durations come from
 //     the simulator's clock, never the host's, and span order follows the
 //     fork/absorb discipline of the parallel engine, so a trace is

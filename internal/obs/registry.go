@@ -235,8 +235,8 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.get(name, labels, kindCounter, false, nil).counter
 }
 
-// UnstableCounter is Counter for scheduling-dependent values (e.g. shared
-// cache hits/misses, retry totals that depend on goroutine interleaving).
+// UnstableCounter is Counter for scheduling-dependent values (e.g. retry
+// totals that depend on goroutine interleaving).
 // Unstable metrics are excluded from the deterministic export and appear
 // only in the profile dump.
 func (r *Registry) UnstableCounter(name string, labels ...Label) *Counter {

@@ -374,43 +374,6 @@ func (q *Queue) EnergyCounterJ() float64 {
 	return q.dev.EnergyCounterJ()
 }
 
-// AnalyzeCurve evaluates the noiseless analytical model for profile p at
-// every frequency in freqs in one batch — one compiled-profile lookup
-// amortized over the whole list, each Breakdown bit-identical to a
-// single-frequency AnalyzeAt. Unlike Submit it consumes no noise draws and
-// records no events: it is the bulk read path for planners and tuners that
-// want a whole frequency curve.
-func (q *Queue) AnalyzeCurve(p kernels.Profile, freqs []int) []gpusim.Breakdown {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dev.AnalyzeCurve(p, freqs)
-}
-
-// KernelProfiler is implemented by workloads that can enumerate their kernel
-// profiles without running them (both applications can). Sweeps use it to
-// publish each kernel's dense analytic curve once, up front, so parallel
-// workers only ever take the lock-free cache read path.
-type KernelProfiler interface {
-	Profiles() []kernels.Profile
-}
-
-// warmAnalytic precompiles the analytic curves of w's kernels at freqs on
-// the shared device cache. Purely an amortization: the model is a pure
-// function, so warming changes no measurement, no noise draw and no event —
-// it only moves the one-time compile+publish of each profile out of the
-// measured (possibly parallel) region.
-func (q *Queue) warmAnalytic(w Workload, freqs []int) {
-	pr, ok := w.(KernelProfiler)
-	if !ok {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, p := range pr.Profiles() {
-		q.dev.AnalyzeCurve(p, freqs)
-	}
-}
-
 // Measurement is an averaged observation of a workload at one frequency.
 // FreqMHz is the requested clock; EffFreqMHz is the lowest clock any
 // submission of the measurement actually ran at. The two differ only when a
@@ -489,7 +452,7 @@ type sweepTask struct {
 
 // forkSweepTasks derives one private queue clone per frequency, in frequency
 // order, under the parent's lock. Each clone gets a forked device (split
-// noise stream, fresh energy counter, shared analytic cache) and — when fault
+// noise stream, fresh energy counter, shared frequency tables) and — when fault
 // injection is active — a forked per-device injector, so every frequency's
 // stochastic state is fixed here, before any task reaches a worker pool.
 // This is the pre-split step of the determinism contract: a clone's draws
@@ -549,7 +512,6 @@ func (s *FaultStats) absorb(o FaultStats) {
 // queue is left exactly as it was, so even failed sweeps are deterministic
 // regardless of which tasks happened to run before cancellation.
 func sweep(q *Queue, w Workload, freqs []int, reps, workers int) ([]Measurement, error) {
-	q.warmAnalytic(w, freqs)
 	tasks := q.forkSweepTasks(freqs)
 	out := make([]Measurement, len(freqs))
 	err := parallel.ForEachChunked(context.Background(), len(tasks), workers, 0, func(_ context.Context, lo, hi int) error {
@@ -608,9 +570,6 @@ func forkWorkloadTasks(q *Queue, workloads int, freqs []int) [][]sweepTask {
 // len(workloads)×len(freqs) tasks to the pool at once, which is what makes
 // dataset generation scale past the per-sweep task count.
 func SweepSet(q *Queue, workloads []Workload, freqs []int, reps, workers int) ([][]Measurement, error) {
-	for _, w := range workloads {
-		q.warmAnalytic(w, freqs)
-	}
 	sets := forkWorkloadTasks(q, len(workloads), freqs)
 	nf := len(freqs)
 	out := make([][]Measurement, len(workloads))

@@ -562,58 +562,3 @@ func TestSweepSetMatchesSequentialSweeps(t *testing.T) {
 	}
 	requireQueuesIdentical(t, qa, qb, "sweep set")
 }
-
-func TestSweepCacheOnOffByteIdentical(t *testing.T) {
-	// The compiled-profile cache is a pure evaluation shortcut: disabling it
-	// must not perturb a single observable byte of a sweep — measurements,
-	// event logs or energy counters — serially or under ParallelSweep.
-	w := sweepWorkload{testProfile()}
-	qa, qb := sweepPair(t, nil)
-	qb.Device().DisableAnalyticCache()
-	freqs := qa.SupportedFreqsMHz()
-	on, err := Sweep(qa, w, freqs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Sweep(qb, w, freqs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(on, off) {
-		t.Error("serial sweep measurements diverged between cache on and off")
-	}
-	requireQueuesIdentical(t, qa, qb, "serial cache on/off")
-
-	qc, qd := sweepPair(t, nil)
-	qd.Device().DisableAnalyticCache()
-	pOn, err := ParallelSweep(qc, w, freqs, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pOff, err := ParallelSweep(qd, w, freqs, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pOn, pOff) {
-		t.Error("parallel sweep measurements diverged between cache on and off")
-	}
-	if !reflect.DeepEqual(on, pOff) {
-		t.Error("cache-off parallel sweep diverged from cache-on serial sweep")
-	}
-	requireQueuesIdentical(t, qc, qd, "parallel cache on/off")
-}
-
-func TestQueueAnalyzeCurveMatchesDevice(t *testing.T) {
-	p := newTestPlatform(t)
-	q := p.Queues()[0]
-	freqs := q.SupportedFreqsMHz()
-	curve := q.AnalyzeCurve(testProfile(), freqs)
-	if len(curve) != len(freqs) {
-		t.Fatalf("curve length %d, want %d", len(curve), len(freqs))
-	}
-	for i, f := range freqs {
-		if want := q.Device().AnalyzeAt(testProfile(), f); curve[i] != want {
-			t.Errorf("curve[%d] (%d MHz) = %+v, want %+v", i, f, curve[i], want)
-		}
-	}
-}

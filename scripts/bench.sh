@@ -14,8 +14,9 @@
 # frequency-advisor serving benchmarks and emits BENCH_serve.json (campaign
 # throughput in answered requests/sec plus per-query cache-miss latency), then
 # runs the gpusim analytic hot-path benchmarks and emits BENCH_gpusim.json
-# comparing the compiled two-stage evaluator against the frozen pre-rewrite
-# baseline, so perf regressions in any engine are diffable across commits:
+# (per-evaluation and per-curve-point cost plus the sweep arms, stamped with
+# the commit they were measured on), so perf regressions in any engine are
+# diffable across commits:
 #
 #   ./scripts/bench.sh            # writes ./BENCH_parallel.json + ./BENCH_ml.json + ./BENCH_sched.json + ./BENCH_cronos.json + ./BENCH_serve.json + ./BENCH_gpusim.json
 #   OUT=/tmp/b.json ML_OUT=/tmp/ml.json SCHED_OUT=/tmp/s.json CRONOS_OUT=/tmp/c.json SERVE_OUT=/tmp/v.json GPUSIM_OUT=/tmp/g.json ./scripts/bench.sh
@@ -236,15 +237,12 @@ END {
 
 echo "wrote $SERVE_OUT"
 
-# Gpusim analytic hot path: single-point AnalyzeAt in its three shapes
-# (steady-state cache hit, pure uncached evaluation with the cache detached,
-# GOMAXPROCS-way contention on one fork-shared cache) plus the batched
-# AnalyzeCurve per-point cost. The legacy_* baselines were measured once from
-# the pre-rewrite engine — RWMutex map cache hashing the full kernels.Profile
-# struct per lookup, uncompiled per-call evaluation — at benchtime 3x on the
-# reference runner and stay fixed. The sweep rows repeat the serial/parallel
-# arm from above so the end-to-end sweep speedup sits next to the kernel-level
-# numbers it depends on; the legacy parallel sweep ran at 0.966x serial.
+# Gpusim analytic hot path: one on-menu AnalyzeAt (compile + evaluate) and
+# the batched AnalyzeCurve per-point cost over the full V100 menu. The sweep
+# rows repeat the serial/parallel arm from above so the end-to-end sweep
+# speedup sits next to the kernel-level numbers it depends on.
+# baseline_commit is the commit the measured tree was built on: diff this
+# file against its version at that commit for the before/after numbers.
 #
 # These are nanosecond-scale micro-benchmarks, so they average over wall time
 # (default 1s per arm) instead of the iteration-count BENCHTIME the macro
@@ -253,40 +251,27 @@ GPUSIM_BENCHTIME=${GPUSIM_BENCHTIME:-1s}
 gpuraw=$(GOMAXPROCS="$BENCH_GOMAXPROCS" go test -bench 'AnalyzeAt|AnalyzeCurve' -benchtime "$GPUSIM_BENCHTIME" -run '^$' ./internal/gpusim)
 echo "$gpuraw"
 
-{ echo "$raw"; echo "$gpuraw"; } | awk -v out="$GPUSIM_OUT" '
-/^BenchmarkAnalyzeAt\/cached/     { cached_ns = $3 }
-/^BenchmarkAnalyzeAt\/uncached/   { uncached_ns = $3 }
-/^BenchmarkAnalyzeAt\/contention/ { cont_ns = $3 }
-/^BenchmarkAnalyzeCurve\/cached/ {
-    for (i = 1; i < NF; i++) if ($(i+1) == "ns/point") curve_hit_ns = $i
-    next
-}
-/^BenchmarkAnalyzeCurve\/uncached/ {
-    for (i = 1; i < NF; i++) if ($(i+1) == "ns/point") curve_miss_ns = $i
+{ echo "$raw"; echo "$gpuraw"; } | awk -v out="$GPUSIM_OUT" -v commit="$(git rev-parse --short HEAD)" '
+/^BenchmarkAnalyzeAt[- \t]/ { at_ns = $3 }
+/^BenchmarkAnalyzeCurve[- \t]/ {
+    for (i = 1; i < NF; i++) if ($(i+1) == "ns/point") curve_ns = $i
 }
 /^BenchmarkSweepSerialVsParallel\/serial/   { sweep_s = $3 }
 /^BenchmarkSweepSerialVsParallel\/parallel/ { sweep_p = $3 }
 /^cpu:/ { $1 = ""; sub(/^ /, ""); cpu = $0 }
 END {
-    if (cached_ns == "" || uncached_ns == "" || cont_ns == "" || curve_hit_ns == "" || curve_miss_ns == "" || sweep_s == "" || sweep_p == "") {
+    if (at_ns == "" || curve_ns == "" || sweep_s == "" || sweep_p == "") {
         print "bench.sh: missing gpusim benchmark rows in go test output" > "/dev/stderr"
         exit 1
     }
-    legacy_cached_ns = 148.4; legacy_uncached_ns = 172.0; legacy_cont_ns = 156.2
-    legacy_sweep_speedup = 0.966
     printf "{\n" > out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
-    printf "  \"legacy_cpu\": \"Intel(R) Xeon(R) Processor @ 2.10GHz\",\n" >> out
     printf "  \"gomaxprocs\": %d,\n", ENVIRON["BENCH_GOMAXPROCS"] >> out
-    printf "  \"analyze_at_cached\": {\"ns_op\": %s, \"legacy_ns_op\": %.1f, \"speedup\": %.3f},\n", \
-        cached_ns, legacy_cached_ns, legacy_cached_ns / cached_ns >> out
-    printf "  \"analyze_at_uncached\": {\"ns_op\": %s, \"legacy_ns_op\": %.1f, \"speedup\": %.3f},\n", \
-        uncached_ns, legacy_uncached_ns, legacy_uncached_ns / uncached_ns >> out
-    printf "  \"analyze_at_contention\": {\"ns_op\": %s, \"legacy_ns_op\": %.1f, \"speedup\": %.3f},\n", \
-        cont_ns, legacy_cont_ns, legacy_cont_ns / cont_ns >> out
-    printf "  \"analyze_curve\": {\"cached_ns_point\": %s, \"uncached_ns_point\": %s},\n", curve_hit_ns, curve_miss_ns >> out
-    printf "  \"sweep\": {\"serial_ns_op\": %s, \"parallel_ns_op\": %s, \"speedup\": %.3f, \"legacy_speedup\": %.3f}\n", \
-        sweep_s, sweep_p, sweep_s / sweep_p, legacy_sweep_speedup >> out
+    printf "  \"baseline_commit\": \"%s\",\n", commit >> out
+    printf "  \"analyze_at\": {\"ns_op\": %s},\n", at_ns >> out
+    printf "  \"analyze_curve\": {\"ns_point\": %s},\n", curve_ns >> out
+    printf "  \"sweep\": {\"serial_ns_op\": %s, \"parallel_ns_op\": %s, \"speedup\": %.3f}\n", \
+        sweep_s, sweep_p, sweep_s / sweep_p >> out
     printf "}\n" >> out
 }'
 
