@@ -35,29 +35,29 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# The resilience layer's retry/requeue concurrency, the deterministic
-# parallel engine, the observability registry (counters bumped from worker
-# goroutines, trace fork/absorb), the forest trainer's pooled workspaces
-# (shared column copy read by every tree goroutine) and the deadline-aware
-# scheduler (serial core, but its campaign fans out over forked observers),
-# the MHD solver's slab fan-out (tiled sweeps writing disjoint slabs of
-# shared SoA state), the frequency-advisor service (RCU hot-reload registry
-# read concurrently by sharded event loops), the gpusim device forks (split
-# noise streams and shared immutable frequency tables) and the synergy sweep
-# engine that measures those forks from parallel workers are where a
-# scheduling race would hide: run their packages twice under the race
-# detector so goroutine interleavings get a second roll of the dice.
-echo "==> go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy"
-go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy
+# Every goroutine outside tests is started by internal/parallel's one pool:
+# the caller works alongside helpers that park between calls, chunks are
+# claimed in ascending order and the lowest failing index's error wins. Its
+# callers are where a scheduling race would hide: the resilience layer's
+# per-device retry/requeue rounds, the observability registry (counters
+# bumped from pool tasks, trace fork/absorb), the forest trainer's pooled
+# workspaces, the scheduler and advisor campaigns (serial event loops fanned
+# out over forked observers, the advisor's RCU hot-reload registry read by
+# concurrent shards), the MHD solver's slab fan-out (tiled sweeps writing
+# disjoint slabs of shared SoA state), LiGen's per-ligand screening, the
+# gpusim device forks and the synergy sweep engine that measures them. Run
+# their packages twice under the race detector so goroutine interleavings
+# get a second roll of the dice.
+echo "==> go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy ./internal/ligen"
+go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy ./internal/ligen
 
-# Width sweep for the training and sweep paths: the forest fans trees out
-# over GOMAXPROCS workers, each drawing a pooled workspace that carries the
-# counting-sort and node scratch while all trees read one shared rank table,
-# and ParallelSweep measures forked devices on a worker pool. Run the ml,
-# core, synergy and gpusim suites at widths 1, 2 and 4 so the fan-outs are
-# exercised at several widths, not only at the host's GOMAXPROCS.
-echo "==> go test -cpu 1,2,4 ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim"
-go test -cpu 1,2,4 ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim
+# Width sweep for the pool and every package that fans out over it: the
+# pool's helper hand-off, the solver's per-slab workspaces and its
+# allocation guard, the forest's shared rank table, the sweep engine's forked
+# devices, the screening and cluster rounds and the campaign fan-outs all
+# run at widths 1, 2 and 4, not only at the host's GOMAXPROCS.
+echo "==> go test -cpu 1,2,4 ./internal/parallel ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim ./internal/cronos ./internal/ligen ./internal/cluster ./internal/sched ./internal/serve"
+go test -cpu 1,2,4 ./internal/parallel ./internal/ml ./internal/core ./internal/synergy ./internal/gpusim ./internal/cronos ./internal/ligen ./internal/cluster ./internal/sched ./internal/serve
 
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the

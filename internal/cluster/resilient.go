@@ -28,12 +28,12 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"dsenergy/internal/cronos"
 	"dsenergy/internal/faults"
 	"dsenergy/internal/ligen"
 	"dsenergy/internal/obs"
+	"dsenergy/internal/parallel"
 	"dsenergy/internal/synergy"
 )
 
@@ -257,20 +257,19 @@ func (c *Cluster) runCronosResilient(nx, ny, nz, steps int) (Result, error) {
 			return Result{}, fmt.Errorf("cluster: cannot split %d z-planes across %d devices", nz, n)
 		}
 		slabs := slabSizes(nz, n)
-		outs := make([]attemptOut, n)
-		var wg sync.WaitGroup
-		for k := range aliveIdx {
+		works := make([]cronos.Workload, n)
+		for k := range works {
 			w, err := cronos.NewWorkload(nx, ny, slabs[k], 1)
 			if err != nil {
 				return Result{}, err
 			}
-			wg.Add(1)
-			go func(k, di int, w cronos.Workload) {
-				defer wg.Done()
-				outs[k] = c.attempt(di, w)
-			}(k, aliveIdx[k], w)
+			works[k] = w
 		}
-		wg.Wait()
+		// One task per surviving device, each on its own queue; attempt
+		// reports failures in its result, so Map's error is always nil.
+		outs, _ := parallel.Map(n, n, func(k int) (attemptOut, error) {
+			return c.attempt(aliveIdx[k], works[k]), nil
+		})
 
 		// Aggregate in device-index order (aliveIdx is ascending).
 		var stepSlowS, stepGoodEnergyJ float64
@@ -417,43 +416,42 @@ func (c *Cluster) screenLiGenResilient(in ligen.Input) (Result, error) {
 			byDev[k] = append(byDev[k], si)
 		}
 		outs := make([]devOut, len(aliveIdx))
-		var wg sync.WaitGroup
-		for k := range aliveIdx {
-			wg.Add(1)
-			go func(k, di int, shards []int) {
-				defer wg.Done()
-				d := &outs[k]
-				for si, shard := range shards {
-					sub := in
-					sub.Ligands = shardLigands[shard]
-					w, err := ligen.NewWorkload(sub)
-					if err != nil {
-						d.fatal = err
-						return
-					}
-					o := c.attempt(di, w)
-					d.out.goodTimeS += o.goodTimeS
-					d.out.goodEnergyJ += o.goodEnergyJ
-					d.out.wasteTimeS += o.wasteTimeS
-					d.out.wasteEnergyJ += o.wasteEnergyJ
-					d.out.backoffTimeS += o.backoffTimeS
-					d.out.retries += o.retries
-					if o.err == nil {
-						continue
-					}
-					if o.permanentFail {
-						// The in-flight shard and everything not yet started
-						// is stranded; the survivors pick it up next round.
-						d.died = true
-						d.stranded = append(d.stranded, shards[si:]...)
-					} else {
-						d.fatal = o.err
-					}
-					return
+		// One task per surviving device, each on its own queue. Failures are
+		// recorded in the device's slot, not returned (so the pool's error is
+		// always nil): every device runs its round and the aggregation below
+		// sees them in device order.
+		_ = parallel.ForEach(len(aliveIdx), len(aliveIdx), func(k int) error {
+			di, shards, d := aliveIdx[k], byDev[k], &outs[k]
+			for si, shard := range shards {
+				sub := in
+				sub.Ligands = shardLigands[shard]
+				w, err := ligen.NewWorkload(sub)
+				if err != nil {
+					d.fatal = err
+					return nil
 				}
-			}(k, aliveIdx[k], byDev[k])
-		}
-		wg.Wait()
+				o := c.attempt(di, w)
+				d.out.goodTimeS += o.goodTimeS
+				d.out.goodEnergyJ += o.goodEnergyJ
+				d.out.wasteTimeS += o.wasteTimeS
+				d.out.wasteEnergyJ += o.wasteEnergyJ
+				d.out.backoffTimeS += o.backoffTimeS
+				d.out.retries += o.retries
+				if o.err == nil {
+					continue
+				}
+				if o.permanentFail {
+					// The in-flight shard and everything not yet started
+					// is stranded; the survivors pick it up next round.
+					d.died = true
+					d.stranded = append(d.stranded, shards[si:]...)
+				} else {
+					d.fatal = o.err
+				}
+				return nil
+			}
+			return nil
+		})
 
 		// Aggregate in device-index order.
 		var roundSlowS float64

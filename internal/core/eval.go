@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"dsenergy/internal/ml"
@@ -40,7 +39,7 @@ func leaveOneInputOut(ds *Dataset, spec ml.Spec, seed uint64, workers int) ([]In
 	if len(inputs) < 2 {
 		return nil, fmt.Errorf("core: leave-one-input-out needs >= 2 inputs, have %d", len(inputs))
 	}
-	return parallel.Map(context.Background(), len(inputs), workers, func(_ context.Context, i int) (InputAccuracy, error) {
+	return parallel.Map(len(inputs), workers, func(i int) (InputAccuracy, error) {
 		return EvalHeldOut(ds, spec, seed, inputs[i])
 	})
 }
@@ -176,7 +175,7 @@ func CompareAlgorithmsParallel(ds *Dataset, specs []ml.Spec, seed uint64, worker
 }
 
 func compareAlgorithms(ds *Dataset, specs []ml.Spec, seed uint64, workers int) ([]AlgorithmScore, error) {
-	return parallel.Map(context.Background(), len(specs), workers, func(_ context.Context, i int) (AlgorithmScore, error) {
+	return parallel.Map(len(specs), workers, func(i int) (AlgorithmScore, error) {
 		spec := specs[i]
 		accs, err := LeaveOneInputOut(ds, spec, seed)
 		if err != nil {

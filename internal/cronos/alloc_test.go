@@ -4,10 +4,11 @@ import "testing"
 
 // TestStepAllocationGuard pins the steady-state allocation count of the hot
 // path. After the first step warms the workspaces, a Step must not allocate
-// beyond the fixed per-dispatch overhead of the worker fan-out (goroutine
-// bookkeeping in parallel.ForEach); any per-cell or per-plane allocation
-// creeping into the sweep multiplies by the step count and shows up here
-// immediately.
+// beyond the fixed per-dispatch overhead of its twelve fan-outs (each slab
+// body's closure, plus the shared job state parallel.ForEachChunked hands its
+// parked helpers when more than one worker runs); any per-cell or per-plane
+// allocation creeping into the sweep multiplies by the step count and shows
+// up here immediately. The explicit widths run even on a one-CPU machine.
 func TestStepAllocationGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -16,6 +17,8 @@ func TestStepAllocationGuard(t *testing.T) {
 	}{
 		{"serial", 1, 16},
 		{"parallel", 0, 32},
+		{"workers2", 2, 32},
+		{"workers4", 4, 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSolver(Config{NX: 32, NY: 32, NZ: 32, Boundary: Periodic, Workers: tc.workers})

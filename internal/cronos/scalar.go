@@ -3,8 +3,8 @@ package cronos
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"dsenergy/internal/parallel"
 )
 
 // User-provided conservation laws: the paper notes that Cronos "allows the
@@ -89,7 +89,7 @@ func NewScalarSolver(law ScalarLaw, nx, ny, nz int, b Boundary) (*ScalarSolver, 
 	return &ScalarSolver{
 		Law: law, NX: nx, NY: ny, NZ: nz,
 		DX: 1.0 / float64(nx), DY: 1.0 / float64(nx), DZ: 1.0 / float64(nx),
-		Boundary: b, CFL: 0.4, Workers: runtime.GOMAXPROCS(0),
+		Boundary: b, CFL: 0.4, Workers: parallel.Workers(0),
 		DT: 1e-4,
 		u:  make([]float64, n), u0: make([]float64, n), changes: make([]float64, n),
 		sx: sx, sy: sy,
@@ -184,33 +184,16 @@ func (s *ScalarSolver) computeChanges() float64 {
 	for i := range s.changes {
 		s.changes[i] = 0
 	}
-	w := s.Workers
-	if w > s.NZ {
-		w = s.NZ
-	}
-	if w < 1 {
-		w = 1
-	}
-	cflCh := make(chan float64, w)
-	var wg sync.WaitGroup
-	chunk := (s.NZ + w - 1) / w
-	sent := 0
-	for lo := 0; lo < s.NZ; lo += chunk {
-		hi := lo + chunk
-		if hi > s.NZ {
-			hi = s.NZ
-		}
-		wg.Add(1)
-		sent++
-		go func(lo, hi int) {
-			defer wg.Done()
-			cflCh <- s.slabChanges(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	w := min(max(s.Workers, 1), s.NZ)
+	grain := (s.NZ + w - 1) / w
+	cfls := make([]float64, w)
+	_ = parallel.ForEachChunked(s.NZ, w, grain, func(lo, hi int) error { // never fails
+		cfls[lo/grain] = s.slabChanges(lo, hi)
+		return nil
+	})
 	var cfl float64
-	for i := 0; i < sent; i++ {
-		if v := <-cflCh; v > cfl {
+	for _, v := range cfls {
+		if v > cfl {
 			cfl = v
 		}
 	}

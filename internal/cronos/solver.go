@@ -3,8 +3,8 @@ package cronos
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"dsenergy/internal/parallel"
 )
 
 // defaultTileWidth is the pencil-tile width of the Y and Z sweeps: how many
@@ -63,9 +63,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.CFLNumber == 0 {
 		cfg.CFLNumber = 0.4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	cfg.Workers = parallel.Workers(cfg.Workers)
 	if cfg.InitialDT == 0 {
 		cfg.InitialDT = 1e-4
 	}
@@ -96,63 +94,12 @@ func NewSolver(cfg Config) (*Solver, error) {
 // Workers returns the configured pool width.
 func (s *Solver) Workers() int { return s.cfg.Workers }
 
-// parallelFor splits [0,n) across the worker pool and waits for completion.
-func (s *Solver) parallelFor(n int, body func(lo, hi int)) {
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// forEachSlab statically partitions [0,n) into at most Workers contiguous
-// slabs and runs body(slab, lo, hi) for each, in parallel when more than one
-// slab exists. It returns the slab count so callers can fold the per-slab
-// partial results (s.parts, s.ws) in slab order — the deterministic
-// replacement for the old channel-based reduction.
-func (s *Solver) forEachSlab(n int, body func(slab, lo, hi int)) int {
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		body(0, 0, n)
-		return 1
-	}
-	chunk := (n + w - 1) / w
-	slabs := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for slab := 0; slab < slabs; slab++ {
-		lo := slab * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slab, lo, hi int) {
-			defer wg.Done()
-			body(slab, lo, hi)
-		}(slab, lo, hi)
-	}
-	wg.Wait()
-	return slabs
+// grain returns the slab width that splits [0,n) into at most Workers
+// contiguous slabs; slab lo/grain owns the s.parts and s.ws slots of that
+// index.
+func (s *Solver) grain(n int) int {
+	w := min(s.cfg.Workers, n)
+	return (n + w - 1) / w
 }
 
 // computeChanges evaluates dU/dt into s.changes from the state in g and
@@ -164,13 +111,17 @@ func (s *Solver) computeChanges(g *Grid) float64 {
 	s.refreshPrims(g)
 
 	// X and Y sweeps parallelize over z-slabs; each slab owns its faces.
-	slabs := s.forEachSlab(g.NZ, func(slab, kLo, kHi int) {
+	// Slab bodies never fail, so here and below the pool's error is nil.
+	kGrain := s.grain(g.NZ)
+	_ = parallel.ForEachChunked(g.NZ, s.cfg.Workers, kGrain, func(kLo, kHi int) error {
+		slab := kLo / kGrain
 		cfl, fx := s.sweepXY(g, s.ws[slab], kLo, kHi)
 		s.parts[slab] = slabPartial{cfl: cfl, fluxes: fx}
+		return nil
 	})
 	var cflXY float64
 	var fluxes int64
-	for i := 0; i < slabs; i++ {
+	for i := 0; i*kGrain < g.NZ; i++ {
 		if s.parts[i].cfl > cflXY {
 			cflXY = s.parts[i].cfl
 		}
@@ -179,11 +130,13 @@ func (s *Solver) computeChanges(g *Grid) float64 {
 
 	// Z sweep parallelizes over y-slabs; faces along z stay row-local. It
 	// contributes no CFL (the x-sweep already reduces the full 3-D value).
-	slabs = s.forEachSlab(g.NY, func(slab, jLo, jHi int) {
-		fx := s.sweepZ(g, s.ws[slab], jLo, jHi)
-		s.parts[slab] = slabPartial{fluxes: fx}
+	jGrain := s.grain(g.NY)
+	_ = parallel.ForEachChunked(g.NY, s.cfg.Workers, jGrain, func(jLo, jHi int) error {
+		slab := jLo / jGrain
+		s.parts[slab] = slabPartial{fluxes: s.sweepZ(g, s.ws[slab], jLo, jHi)}
+		return nil
 	})
-	for i := 0; i < slabs; i++ {
+	for i := 0; i*jGrain < g.NY; i++ {
 		fluxes += s.parts[i].fluxes
 	}
 
@@ -207,13 +160,14 @@ func (s *Solver) integrateTime(substep int) {
 	g := s.Grid
 	dt := s.DT
 	n := len(g.U[0])
-	s.parallelFor(n, func(lo, hi int) {
+	_ = parallel.ForEachChunked(n, s.cfg.Workers, s.grain(n), func(lo, hi int) error { // never fails
 		for v := 0; v < NVars; v++ {
 			u, u0, ch := g.U[v], s.u0.U[v], s.changes.U[v]
 			for i := lo; i < hi; i++ {
 				u[i] = a0*u0[i] + a1*u[i] + b*dt*ch[i]
 			}
 		}
+		return nil
 	})
 }
 

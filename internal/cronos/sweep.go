@@ -1,6 +1,10 @@
 package cronos
 
-import "math"
+import (
+	"math"
+
+	"dsenergy/internal/parallel"
+)
 
 // This file holds the cache-blocked sweep engine behind computeChanges.
 //
@@ -21,11 +25,11 @@ import "math"
 
 // refreshPrims converts the full ghosted grid to primitive variables once per
 // substep. Each cell is an independent pure conversion, so the plane-slab
-// parallelization cannot affect the stored values.
+// parallelization cannot affect the stored values, and it cannot fail.
 func (s *Solver) refreshPrims(g *Grid) {
 	plane := g.sy * g.sx
 	pr := s.prims
-	s.parallelFor(g.sz, func(lo, hi int) {
+	_ = parallel.ForEachChunked(g.sz, s.cfg.Workers, s.grain(g.sz), func(lo, hi int) error {
 		for idx := lo * plane; idx < hi*plane; idx++ {
 			pr[idx] = toPrim(cons{
 				rho: g.U[IRho][idx],
@@ -34,6 +38,7 @@ func (s *Solver) refreshPrims(g *Grid) {
 				bx: g.U[IBx][idx], by: g.U[IBy][idx], bz: g.U[IBz][idx],
 			})
 		}
+		return nil
 	})
 }
 

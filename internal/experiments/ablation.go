@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -116,7 +115,7 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 	// Each held-out input retrains a blinded forest — independent folds,
 	// fanned out on the config's worker pool and summed in input order.
 	inputs := ds.Inputs()
-	staticMAPEs, err := parallel.Map(context.Background(), len(inputs), c.Jobs, func(_ context.Context, i int) (float64, error) {
+	staticMAPEs, err := parallel.Map(len(inputs), c.Jobs, func(i int) (float64, error) {
 		held := inputs[i]
 		blind := blindDataset(ds, held)
 		m, err := core.TrainNormalized(blind, c.forestSpec(), c.Seed+12)
@@ -209,7 +208,7 @@ func (c Config) AblationNoise() (AblationNoiseResult, error) {
 	// concurrently on the config's pool, each on its own observer fork.
 	repCounts := []int{1, 5}
 	forks := c.Obs.ForkN(len(repCounts))
-	mapes, err := parallel.Map(context.Background(), len(repCounts), c.Jobs, func(_ context.Context, i int) (float64, error) {
+	mapes, err := parallel.Map(len(repCounts), c.Jobs, func(i int) (float64, error) {
 		return run(repCounts[i], forks[i])
 	})
 	if err != nil {
@@ -240,7 +239,7 @@ func (c Config) AblationBatching() (AblationBatchingResult, error) {
 	def := spec.BaselineFreqMHz()
 	low := spec.NearestFreqMHz(def * 3 / 4)
 	batches := []int{256, 1024, 2048, 8192}
-	savings, err := parallel.Map(context.Background(), len(batches), c.Jobs, func(_ context.Context, i int) (float64, error) {
+	savings, err := parallel.Map(len(batches), c.Jobs, func(i int) (float64, error) {
 		w, err := ligen.NewWorkload(ligen.Input{Ligands: 10000, Atoms: 89, Fragments: 20})
 		if err != nil {
 			return 0, err
@@ -407,7 +406,7 @@ func (c Config) StrongScaling(devices []int) (ligenRows, cronosRows []ScalingRow
 	// need the single-device baseline and are derived afterwards, in order.
 	type scalePoint struct{ ligen, cronos cluster.Result }
 	forks := c.Obs.ForkN(len(devices))
-	points, err := parallel.Map(context.Background(), len(devices), c.Jobs, func(_ context.Context, i int) (scalePoint, error) {
+	points, err := parallel.Map(len(devices), c.Jobs, func(i int) (scalePoint, error) {
 		cl, err := cluster.New(c.Seed, gpusim.V100Spec(), devices[i], cluster.DefaultInterconnect())
 		if err != nil {
 			return scalePoint{}, err

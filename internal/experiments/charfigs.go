@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"dsenergy/internal/cronos"
@@ -57,7 +56,7 @@ type seriesJob struct {
 // series, pre-split in job order, absorbed after every series succeeded.
 func (c Config) sweepSeriesSet(jobs []seriesJob) ([]Series, error) {
 	forks := c.Obs.ForkN(len(jobs))
-	out, err := parallel.Map(context.Background(), len(jobs), c.Jobs, func(_ context.Context, i int) (Series, error) {
+	out, err := parallel.Map(len(jobs), c.Jobs, func(i int) (Series, error) {
 		sc := c
 		sc.Obs = forks[i]
 		p, err := sc.platform()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -174,7 +173,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 	display := c.fig13Display(lds)
 	// Each displayed input retrains its own held-out model — independent
 	// work, fanned out on the config's worker pool.
-	out.LiGen, err = parallel.Map(context.Background(), len(display), c.Jobs, func(_ context.Context, i int) (AccuracyBar, error) {
+	out.LiGen, err = parallel.Map(len(display), c.Jobs, func(i int) (AccuracyBar, error) {
 		in := display[i]
 		features := []float64{float64(in.Ligands), float64(in.Fragments), float64(in.Atoms)}
 		a, err := core.EvalHeldOut(lds, c.forestSpec(), c.Seed+2, features)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -84,7 +83,7 @@ func (c Config) Resilience() ([]ResilienceRow, error) {
 		{"ligen", plan}, {"cronos", plan},
 	}
 	forks := c.Obs.ForkN(len(campaigns))
-	results, err := parallel.Map(context.Background(), len(campaigns), c.Jobs, func(_ context.Context, i int) (cluster.Result, error) {
+	results, err := parallel.Map(len(campaigns), c.Jobs, func(i int) (cluster.Result, error) {
 		return runOne(campaigns[i].app, campaigns[i].plan, forks[i])
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -152,7 +151,7 @@ func (c Config) Schedule() ([]ScheduleRun, error) {
 		{Plan: "fault-storm", Policy: sched.PolicyStatic},
 	}
 	forks := c.Obs.ForkN(len(cells))
-	reports, err := parallel.Map(context.Background(), len(cells), c.Jobs, func(_ context.Context, i int) (*sched.Report, error) {
+	reports, err := parallel.Map(len(cells), c.Jobs, func(i int) (*sched.Report, error) {
 		plan := faults.Plan{}
 		if cells[i].Plan == "fault-storm" {
 			plan = storm

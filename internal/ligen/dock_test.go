@@ -2,6 +2,7 @@ package ligen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dsenergy/internal/xrand"
@@ -202,6 +203,27 @@ func TestScreenRankingSorted(t *testing.T) {
 	for i := 1; i < len(res); i++ {
 		if res[i].Score > res[i-1].Score {
 			t.Fatalf("ranking not descending at %d: %g > %g", i, res[i].Score, res[i-1].Score)
+		}
+	}
+}
+
+// TestScreenErrorNamesLowestLigand puts two atom-less ligands in a library
+// and requires the lower index in the error at every worker count, however
+// the pool schedules the docks.
+func TestScreenErrorNamesLowestLigand(t *testing.T) {
+	p := testPocket(t)
+	lib, err := GenLibrary(xrand.New(18), 12, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib.Ligands[3] = &Ligand{Name: "empty-a"}
+	lib.Ligands[9] = &Ligand{Name: "empty-b"}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 5; rep++ {
+			_, err := Screen(lib, p, TestParams(), workers, 7)
+			if err == nil || !strings.HasPrefix(err.Error(), "ligand 3 (empty-a):") {
+				t.Fatalf("workers=%d: err = %v, want ligand 3's error", workers, err)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -87,7 +86,7 @@ func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, worker
 		// all k. Fold seeds depend on the fold index alone, so the chunk
 		// decomposition cannot change the bytes.
 		folds = make([]float64, k)
-		err = parallel.ForEachChunked(context.Background(), k, workers, 0, func(_ context.Context, lo, hi int) error {
+		err = parallel.ForEachChunked(k, workers, 0, func(lo, hi int) error {
 			scratch := make([]bool, n)
 			for fold := lo; fold < hi; fold++ {
 				flo, fhi := fold*n/k, (fold+1)*n/k
@@ -212,7 +211,7 @@ func gridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64
 	gridPoints := base.Obs.Metrics().Counter("ml_grid_points_total")
 	gridPhase := base.Obs.Profile().Phase("ml.grid.point")
 	points := make([]GridPoint, len(combos))
-	err = parallel.ForEachChunked(context.Background(), len(combos), workers, 0, func(_ context.Context, lo, hi int) error {
+	err = parallel.ForEachChunked(len(combos), workers, 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			stop := gridPhase.Start()
 			spec := Spec{Algorithm: base.Algorithm, Params: map[string]float64{}, Obs: base.Obs}

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -103,7 +102,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	// lives in the profile dump only.
 	treesTrained := f.cfg.Obs.Metrics().Counter("ml_trees_trained_total")
 	treePhase := f.cfg.Obs.Profile().Phase("ml.forest.tree")
-	err = parallel.ForEach(context.Background(), f.cfg.NumTrees, f.cfg.Workers, func(_ context.Context, ti int) error {
+	err = parallel.ForEach(f.cfg.NumTrees, f.cfg.Workers, func(ti int) error {
 		stop := treePhase.Start()
 		defer stop()
 		// The tree's generator derives from the forest seed and the tree

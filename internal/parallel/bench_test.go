@@ -1,20 +1,17 @@
 package parallel
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
-// BenchmarkDispatch measures the engine's per-task overhead: 1<<16 trivial
+// BenchmarkDispatch measures the pool's per-task overhead: 1<<16 trivial
 // tasks (one slot write each) on two workers, so the cost measured is almost
-// entirely claiming, closure dispatch and cancellation polling rather than
-// task work.
+// entirely chunk claiming, closure dispatch and the hand-off to a parked
+// helper rather than task work.
 func BenchmarkDispatch(b *testing.B) {
 	const n = 1 << 16
 	out := make([]float64, n)
 	b.Run("foreach", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			err := ForEach(context.Background(), n, 2, func(_ context.Context, i int) error {
+			err := ForEach(n, 2, func(i int) error {
 				out[i] = float64(i)
 				return nil
 			})
@@ -26,7 +23,7 @@ func BenchmarkDispatch(b *testing.B) {
 	})
 	b.Run("foreach-chunked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			err := ForEachChunked(context.Background(), n, 2, 0, func(_ context.Context, lo, hi int) error {
+			err := ForEachChunked(n, 2, 0, func(lo, hi int) error {
 				for j := lo; j < hi; j++ {
 					out[j] = float64(j)
 				}

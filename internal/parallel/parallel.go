@@ -1,6 +1,7 @@
 // Package parallel is the repository's deterministic fork/join engine: a
 // bounded worker pool whose output is byte-identical to serial execution
-// regardless of scheduling.
+// regardless of scheduling. It is the only place outside tests that starts
+// goroutines.
 //
 // The engine owns no randomness of its own. Determinism is a contract with
 // the caller: any stochastic state a task needs (an xrand stream, a fault
@@ -11,16 +12,16 @@
 // result into the slot of its task index. Running with one worker, sixteen
 // workers, or under the race detector produces the same bytes.
 //
-// Error handling is fail-fast: the first task error cancels the shared
-// context so in-flight and queued tasks can stop early, and the error
-// recorded for the lowest task index is returned — on an unlucky schedule a
-// lower-index task may have been cancelled before running, so callers that
-// need deterministic *state* on failure must discard partial results (as
-// synergy.ParallelSweep does) rather than interpret which index failed.
+// Error handling is fail-fast and deterministic. Chunks are claimed in
+// ascending order, a failure stops further claiming, and every chunk that was
+// claimed runs to completion. So when any task fails, every task below the
+// lowest failing index has run, and the error returned is that lowest failing
+// index's — the same error the serial loop returns, at every worker count.
+// Tasks above it may or may not have run; callers that need deterministic
+// state on failure discard partial results (as synergy.ParallelSweep does).
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,201 +36,18 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on a pool of at most
-// Workers(workers) goroutines and waits for all of them. With one worker (or
-// n <= 1 tasks) it degrades to a plain loop on the calling goroutine — the
-// serial reference the parallel schedule must be indistinguishable from.
-//
-// The context passed to fn is cancelled as soon as any task fails; fn may
-// ignore it (tasks are typically short) or poll it to abort long work early.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next   int64 // next unclaimed task index
-		mu     sync.Mutex
-		errIdx = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				if cctx.Err() != nil {
-					// Cancelled by an earlier failure (or the caller): stop
-					// claiming work without recording — a cancellation is not
-					// this task's error.
-					return
-				}
-				if err := fn(cctx, i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if first != nil {
-		return first
-	}
-	// No task failed; surface a caller-side cancellation if there was one.
-	return ctx.Err()
-}
-
-// ForEachChunked runs fn over contiguous half-open ranges [lo, hi) that tile
-// [0, n), each at most grain indices wide. It is the grain-size counterpart
-// of ForEach for workloads whose per-index cost is small enough that task
-// claiming and closure dispatch dominate, or whose bodies can amortize
-// per-chunk scratch state across the indices of one range. grain <= 0 selects
-// an automatic grain of about n/(4·workers) (at least 1), which keeps roughly
-// four chunks per worker in flight for load balancing while dividing the
-// per-index dispatch cost by the grain.
-//
-// The determinism contract is inherited from ForEach unchanged: fn must
-// derive everything it needs from the indices it is handed, so every chunk
-// decomposition — one chunk, n chunks, or anything between — produces the
-// same bytes as the serial loop. With one worker the chunks run in ascending
-// order on the calling goroutine.
-//
-// Error handling is fail-fast like ForEach, at chunk granularity: the context
-// passed to fn is cancelled as soon as any chunk fails, and the error
-// recorded for the chunk with the lowest start index is returned. As with
-// ForEach, an unlucky schedule may cancel a lower chunk before it runs, so
-// callers needing deterministic state on failure must discard partial
-// results.
-func ForEachChunked(ctx context.Context, n, workers, grain int, fn func(ctx context.Context, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if grain <= 0 {
-		grain = n / (4 * w)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	chunks := (n + grain - 1) / grain
-	if w > chunks {
-		w = chunks
-	}
-	if w == 1 {
-		for lo := 0; lo < n; lo += grain {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			if err := fn(ctx, lo, hi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next  int64 // next unclaimed chunk number
-		mu    sync.Mutex
-		errLo = -1
-		first error
-		wg    sync.WaitGroup
-	)
-	record := func(lo int, err error) {
-		mu.Lock()
-		if errLo < 0 || lo < errLo {
-			errLo, first = lo, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				if c >= chunks {
-					return
-				}
-				if cctx.Err() != nil {
-					return
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				if err := fn(cctx, lo, hi); err != nil {
-					record(lo, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+// ForEach runs fn(i) for every i in [0, n) on at most Workers(workers)
+// goroutines and waits for all of them. It is ForEachChunked with grain 1.
+func ForEach(n, workers int, fn func(i int) error) error {
+	return ForEachChunked(n, workers, 1, func(lo, _ int) error { return fn(lo) })
 }
 
 // Map runs fn over [0, n) like ForEach and collects the results in task
 // order: out[i] is fn's value for index i, wherever and whenever it ran.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
+	err := ForEach(n, workers, func(i int) error {
+		v, err := fn(i)
 		if err != nil {
 			return err
 		}
@@ -240,4 +58,100 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 		return nil, err
 	}
 	return out, nil
+}
+
+// ForEachChunked runs fn over contiguous half-open ranges [lo, hi) that tile
+// [0, n), each at most grain indices wide, on at most Workers(workers)
+// goroutines, and waits for all of them. grain <= 0 selects an automatic
+// grain of about n/(4·workers) (at least 1), which keeps roughly four chunks
+// per worker in flight for load balancing while dividing the per-index
+// dispatch cost by the grain.
+//
+// fn must derive everything it needs from the indices it is handed, so every
+// chunk decomposition produces the same bytes as the serial loop. With one
+// worker (or one chunk) the chunks run in ascending order on the calling
+// goroutine. Otherwise the caller works too and hands the remaining workers
+// to helper goroutines that park between calls, so a steady stream of calls
+// starts no new goroutines. Nested calls cannot deadlock: the caller alone
+// can drain every chunk.
+func ForEachChunked(n, workers, grain int, fn func(lo, hi int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	w := min(Workers(workers), n)
+	if grain <= 0 {
+		grain = max(n/(4*w), 1)
+	}
+	chunks := (n + grain - 1) / grain
+	w = min(w, chunks)
+	if w == 1 {
+		for lo := 0; lo < n; lo += grain {
+			if err := fn(lo, min(lo+grain, n)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	j := &job{fn: fn, n: n, grain: grain, chunks: chunks}
+	j.helpers.Add(w - 1)
+	for h := 1; h < w; h++ {
+		select {
+		case idle <- j: // woke a parked helper
+		default:
+			go helper(j)
+		}
+	}
+	j.run()
+	j.helpers.Wait()
+	// Parked helpers still point at j: drop fn so they do not keep whatever
+	// it captured alive. No helper touches j after Done.
+	j.fn = nil
+	return j.err
+}
+
+// idle is where helper goroutines park between calls. Sends are
+// non-blocking, so a job is handed only to a helper that is already waiting.
+var idle = make(chan *job)
+
+// helper works on the job it was started with, then parks for the next one.
+func helper(j *job) {
+	for {
+		j.run()
+		j.helpers.Done()
+		j = <-idle
+	}
+}
+
+// job is the state one ForEachChunked call shares with its helpers.
+type job struct {
+	fn               func(lo, hi int) error
+	n, grain, chunks int
+	next             atomic.Int64 // next unclaimed chunk number
+	stop             atomic.Bool  // set by the first failure
+	helpers          sync.WaitGroup
+	mu               sync.Mutex
+	errLo            int // start index of the chunk err came from
+	err              error
+}
+
+// run claims and runs chunks until none are left or a chunk has failed. The
+// stop flag is checked only before claiming, so every claimed chunk runs.
+func (j *job) run() {
+	for !j.stop.Load() {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := c * j.grain
+		if err := j.fn(lo, min(lo+j.grain, j.n)); err != nil {
+			j.mu.Lock()
+			if j.err == nil || lo < j.errLo {
+				j.errLo, j.err = lo, err
+			}
+			j.mu.Unlock()
+			j.stop.Store(true)
+			return
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"slices"
 	"sort"
+
+	"dsenergy/internal/des"
 )
 
 // TenantSLO is one tenant's slice of the SLO accounting.
@@ -111,28 +113,13 @@ func (r *Report) MissRate() float64 {
 	return float64(r.Missed+r.Failed+r.Shed) / float64(r.Admitted)
 }
 
-// percentile is the nearest-rank percentile of a sorted sample.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // finalize freezes the derived fields: totals, lateness percentiles and the
 // sorted tenant table.
 func (r *Report) finalize() {
 	r.Submitted = r.Admitted + r.Rejected
 	slices.Sort(r.latenesses)
-	r.P50LatenessS = percentile(r.latenesses, 0.50)
-	r.P99LatenessS = percentile(r.latenesses, 0.99)
+	r.P50LatenessS = des.Percentile(r.latenesses, 0.50)
+	r.P99LatenessS = des.Percentile(r.latenesses, 0.99)
 	if n := len(r.latenesses); n > 0 {
 		r.MaxLatenessS = r.latenesses[n-1]
 	}

@@ -34,12 +34,12 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 	"strconv"
 
 	"dsenergy/internal/cluster"
+	"dsenergy/internal/des"
 	"dsenergy/internal/faults"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/synergy"
@@ -163,32 +163,12 @@ const (
 	evRequeue
 )
 
-// event is one entry of the simulated-time event heap.
+// event is one entry of the simulated-time event queue.
 type event struct {
-	timeS float64
-	seq   int // insertion order, the deterministic tie-break
-	kind  int
-	job   int // job index (evArrival, evRequeue)
-	dev   int // device index (evFree)
+	kind int
+	job  int // job index (evArrival, evRequeue)
+	dev  int // device index (evFree)
 }
-
-// eventHeap orders events by (time, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].timeS < h[j].timeS {
-		return true
-	}
-	if h[j].timeS < h[i].timeS {
-		return false
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)               { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)                 { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any                   { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h *eventHeap) push(e event, s *Scheduler) { e.seq = s.seq; s.seq++; heap.Push(h, e) }
 
 // jobState tracks one admitted job through the scheduler.
 type jobState struct {
@@ -226,8 +206,7 @@ type Scheduler struct {
 	queues []*synergy.Queue
 	idleW  float64
 
-	seq    int
-	events eventHeap
+	events des.Queue[event]
 	ready  []*jobState // EDF order: (deadline, job ID)
 
 	// pendingRequeue holds jobs knocked off a dead device, consumed FIFO by
@@ -359,13 +338,13 @@ func (s *Scheduler) Run(jobs []Job) (*Report, error) {
 	})
 	for _, i := range order {
 		states[i] = &jobState{job: jobs[i], lastDev: -1}
-		s.events.push(event{timeS: jobs[i].ArrivalS, kind: evArrival, job: i}, s)
+		s.events.Push(jobs[i].ArrivalS, event{kind: evArrival, job: i})
 	}
 
 	var now float64
 	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(event)
-		now = e.timeS
+		var e event
+		now, e = s.events.Pop()
 		switch e.kind {
 		case evArrival:
 			if err := s.admit(states[e.job], now); err != nil {
@@ -728,7 +707,7 @@ func (s *Scheduler) observeClock(d, commanded, firstEvent int) {
 func (s *Scheduler) complete(js *jobState, d int, start, end float64, p prediction, energyJ float64) {
 	s.busyS[d] += end - start
 	s.freeAtS[d] = end
-	s.events.push(event{timeS: end, kind: evFree, dev: d}, s)
+	s.events.Push(end, event{kind: evFree, dev: d})
 
 	late := end - js.job.DeadlineS
 	if late < 0 {
@@ -760,7 +739,7 @@ func (s *Scheduler) complete(js *jobState, d int, start, end float64, p predicti
 func (s *Scheduler) fail(js *jobState, d int, start, busy float64, reason string) {
 	s.busyS[d] += busy
 	s.freeAtS[d] = start + busy
-	s.events.push(event{timeS: start + busy, kind: evFree, dev: d}, s)
+	s.events.Push(start+busy, event{kind: evFree, dev: d})
 	s.rep.Failed++
 	s.om.failed.Inc()
 	s.rep.tenant(js.job.Tenant).Failed++
@@ -795,7 +774,7 @@ func (s *Scheduler) failover(js *jobState, d int, at float64) {
 		return
 	}
 	s.pendingRequeue = append(s.pendingRequeue, js)
-	s.events.push(event{timeS: at, kind: evRequeue}, s)
+	s.events.Push(at, event{kind: evRequeue})
 }
 
 // shed drops an admitted job that no longer fits the surviving capacity.

@@ -633,18 +633,3 @@ func TestReportMissRateCountsFailuresAndSheds(t *testing.T) {
 		t.Fatal("empty report must have zero miss rate")
 	}
 }
-
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4}
-	cases := []struct{ q, want float64 }{
-		{0.50, 2}, {0.99, 4}, {0.25, 1}, {1.0, 4},
-	}
-	for _, c := range cases {
-		if got := percentile(sorted, c.q); got != c.want {
-			t.Errorf("p%g = %g, want %g", 100*c.q, got, c.want)
-		}
-	}
-	if percentile(nil, 0.5) != 0 {
-		t.Error("empty sample must yield 0")
-	}
-}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"dsenergy/internal/des"
 )
 
 // VersionCount attributes completed responses to one published model
@@ -77,21 +79,6 @@ func (r *Report) PredEnergySavedFrac() float64 {
 	return 1 - r.PredEnergyJ/r.PredEnergyMaxJ
 }
 
-// percentile is the nearest-rank percentile of a sorted sample.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // mergeResults folds the per-shard accounting, in shard order, into one
 // report.
 func mergeResults(results []*shardResult) *Report {
@@ -133,8 +120,8 @@ func mergeResults(results []*shardResult) *Report {
 		r.MeanBatchFlights = float64(batchedFlights) / float64(r.Batches)
 	}
 	sort.Float64s(lats)
-	r.P50LatencyS = percentile(lats, 0.50)
-	r.P99LatencyS = percentile(lats, 0.99)
+	r.P50LatencyS = des.Percentile(lats, 0.50)
+	r.P99LatencyS = des.Percentile(lats, 0.99)
 	if n := len(lats); n > 0 {
 		r.MaxLatencyS = lats[n-1]
 	}

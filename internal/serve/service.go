@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 
 	"dsenergy/internal/core"
+	"dsenergy/internal/des"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/parallel"
 	"dsenergy/internal/xrand"
@@ -25,8 +24,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rngs := xrand.New(cfg.Seed).SplitN(len(cfg.Shards))
 	children := cfg.Obs.ForkN(len(cfg.Shards))
-	results, err := parallel.Map(context.Background(), len(cfg.Shards), cfg.Workers,
-		func(_ context.Context, i int) (*shardResult, error) {
+	results, err := parallel.Map(len(cfg.Shards), cfg.Workers,
+		func(i int) (*shardResult, error) {
 			return runShard(cfg, cfg.Shards[i], rngs[i], children[i])
 		})
 	if err != nil {
@@ -44,37 +43,12 @@ const (
 	evReload
 )
 
-// event is one entry of the shard's event heap.
+// event is one entry of the shard's event queue.
 type event struct {
-	timeS  float64
-	seq    int // insertion order, the deterministic tie-break
 	kind   int
 	req    *request // evArrive
 	batch  *batch   // evBatchClose, evBatchDone
 	reload int      // index into ShardConfig.Reloads (evReload)
-}
-
-// eventHeap orders events by (time, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].timeS < h[j].timeS {
-		return true
-	}
-	if h[j].timeS < h[i].timeS {
-		return false
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // request is one advisory query in flight through the shard.
@@ -143,8 +117,7 @@ type shard struct {
 	cache     *lru
 	pending   map[string]*flight
 	open      *batch
-	events    eventHeap
-	seq       int
+	events    des.Queue[event]
 	rng       *xrand.Rand // open-loop arrivals and request content
 	remaining int         // open-loop arrivals not yet scheduled
 	clients   []*client
@@ -163,12 +136,6 @@ type shard struct {
 	ctrReloadRej  *obs.Counter
 	histLatency   *obs.Histogram
 	trace         *obs.Trace
-}
-
-func (s *shard) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
 }
 
 func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
@@ -231,7 +198,7 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 	}
 
 	for i := range sc.Reloads {
-		s.push(event{timeS: sc.Reloads[i].AtS, kind: evReload, reload: i})
+		s.events.Push(sc.Reloads[i].AtS, event{kind: evReload, reload: i})
 	}
 	switch load.Mode {
 	case "open":
@@ -248,21 +215,21 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 		}
 	}
 
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(event)
+	for s.events.Len() > 0 {
+		timeS, e := s.events.Pop()
 		switch e.kind {
 		case evArrive:
-			s.handleArrive(e.timeS, e.req)
+			s.handleArrive(timeS, e.req)
 		case evBatchClose:
 			if !e.batch.closed {
-				s.closeBatch(e.timeS, e.batch)
+				s.closeBatch(timeS, e.batch)
 			}
 		case evBatchDone:
-			if err := s.handleBatchDone(e.timeS, e.batch); err != nil {
+			if err := s.handleBatchDone(timeS, e.batch); err != nil {
 				return nil, err
 			}
 		case evReload:
-			s.handleReload(e.timeS, sc.Reloads[e.reload])
+			s.handleReload(timeS, sc.Reloads[e.reload])
 		}
 	}
 	if len(s.pending) != 0 || s.open != nil {
@@ -283,7 +250,7 @@ func (s *shard) scheduleArrival(nowS float64) {
 	s.remaining--
 	gap := -s.load.MeanInterarrivalS * math.Log(1-s.rng.Float64())
 	t := nowS + gap
-	s.push(event{timeS: t, kind: evArrive, req: s.makeRequest(s.rng, t, -1)})
+	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(s.rng, t, -1)})
 }
 
 // issueFromClient generates client i's next request at or after nowS.
@@ -295,7 +262,7 @@ func (s *shard) issueFromClient(nowS float64, i int) {
 	c.issued++
 	gap := -s.load.MeanThinkS * math.Log(1-c.rng.Float64())
 	t := nowS + gap
-	s.push(event{timeS: t, kind: evArrive, req: s.makeRequest(c.rng, t, i)})
+	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(c.rng, t, i)})
 }
 
 // makeRequest draws one request's content: a popularity-skewed shape (low
@@ -368,7 +335,7 @@ func (s *shard) handleArrive(nowS float64, r *request) {
 	s.pending[key] = fl
 	if s.open == nil {
 		s.open = &batch{}
-		s.push(event{timeS: nowS + s.cfg.BatchWindowS, kind: evBatchClose, batch: s.open})
+		s.events.Push(nowS+s.cfg.BatchWindowS, event{kind: evBatchClose, batch: s.open})
 	}
 	s.open.flights = append(s.open.flights, fl)
 	if len(s.open.flights) >= s.cfg.MaxBatch {
@@ -435,7 +402,7 @@ func (s *shard) closeBatch(nowS float64, b *batch) {
 		s.res.maxBatchLen = len(b.flights)
 	}
 	computeS := s.cfg.BatchBaseS + s.cfg.BatchPerReqS*float64(len(b.flights))
-	s.push(event{timeS: nowS + computeS, kind: evBatchDone, batch: b})
+	s.events.Push(nowS+computeS, event{kind: evBatchDone, batch: b})
 }
 
 // handleBatchDone evaluates the batch — one PredictCurvesBatch block per

@@ -7,7 +7,6 @@
 package synergy
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -510,11 +509,11 @@ func (s *FaultStats) absorb(o FaultStats) {
 // worker pool — the bytes are identical either way), then absorb the clones
 // back in frequency order. On any error nothing is absorbed: the parent
 // queue is left exactly as it was, so even failed sweeps are deterministic
-// regardless of which tasks happened to run before cancellation.
+// regardless of which tasks happened to run before the pool stopped.
 func sweep(q *Queue, w Workload, freqs []int, reps, workers int) ([]Measurement, error) {
 	tasks := q.forkSweepTasks(freqs)
 	out := make([]Measurement, len(freqs))
-	err := parallel.ForEachChunked(context.Background(), len(tasks), workers, 0, func(_ context.Context, lo, hi int) error {
+	err := parallel.ForEachChunked(len(tasks), workers, 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			m, err := MeasureAt(tasks[i].clone, w, tasks[i].freq, reps)
 			if err != nil {
@@ -576,7 +575,7 @@ func SweepSet(q *Queue, workloads []Workload, freqs []int, reps, workers int) ([
 	for i := range out {
 		out[i] = make([]Measurement, nf)
 	}
-	err := parallel.ForEachChunked(context.Background(), len(workloads)*nf, workers, 0, func(_ context.Context, lo, hi int) error {
+	err := parallel.ForEachChunked(len(workloads)*nf, workers, 0, func(lo, hi int) error {
 		for ti := lo; ti < hi; ti++ {
 			wi, fi := ti/nf, ti%nf
 			t := sets[wi][fi]

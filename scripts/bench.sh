@@ -2,21 +2,21 @@
 # scripts/bench.sh — perf baselines for the deterministic parallel engine and
 # the ML training engine.
 #
-# Runs the serial-vs-parallel benchmarks (plus the engine's per-task dispatch
-# overhead, per-index vs chunked) and emits BENCH_parallel.json with the wall
-# time of each arm and the parallel speedup, then runs the CART/forest
-# training and Lasso/SVR solver benchmarks and emits BENCH_ml.json comparing
-# the current engines against their recorded legacy baselines, then runs the
-# deadline-aware scheduler benchmarks and emits BENCH_sched.json (campaign
-# throughput in admitted jobs/sec plus per-dispatch decision latency), then
-# runs the Cronos MHD step benchmarks and emits BENCH_cronos.json comparing
-# the tiled SoA stencil against the frozen pre-tiling baseline, then runs the
-# frequency-advisor serving benchmarks and emits BENCH_serve.json (campaign
-# throughput in answered requests/sec plus per-query cache-miss latency), then
-# runs the gpusim analytic hot-path benchmarks and emits BENCH_gpusim.json
-# (per-evaluation and per-curve-point cost plus the sweep arms, stamped with
-# the commit they were measured on), so perf regressions in any engine are
-# diffable across commits:
+# Runs the serial-vs-parallel benchmarks (plus the pool's per-task dispatch
+# overhead, per-index vs chunked) and emits BENCH_parallel.json with the
+# median wall time of each arm and the parallel speedup, then runs the
+# CART/forest training and Lasso/SVR solver benchmarks and emits BENCH_ml.json
+# comparing the current engines against their recorded legacy baselines, then
+# runs the deadline-aware scheduler benchmarks and emits BENCH_sched.json
+# (campaign throughput in admitted jobs/sec plus per-dispatch decision
+# latency), then runs the Cronos MHD step benchmarks and emits
+# BENCH_cronos.json comparing the tiled SoA stencil against the frozen
+# pre-tiling baseline, then runs the frequency-advisor serving benchmarks and
+# emits BENCH_serve.json (campaign throughput in answered requests/sec plus
+# per-query cache-miss latency), then runs the gpusim analytic hot-path
+# benchmarks and emits BENCH_gpusim.json (per-evaluation and per-curve-point
+# cost plus the sweep arms, stamped with the commit they were measured on), so
+# perf regressions in any engine are diffable across commits:
 #
 #   ./scripts/bench.sh            # writes ./BENCH_parallel.json + ./BENCH_ml.json + ./BENCH_sched.json + ./BENCH_cronos.json + ./BENCH_serve.json + ./BENCH_gpusim.json
 #   OUT=/tmp/b.json ML_OUT=/tmp/ml.json SCHED_OUT=/tmp/s.json CRONOS_OUT=/tmp/c.json SERVE_OUT=/tmp/v.json GPUSIM_OUT=/tmp/g.json ./scripts/bench.sh
@@ -43,32 +43,47 @@ BENCHTIME=${BENCHTIME:-3x}
 BENCH_GOMAXPROCS=${BENCH_GOMAXPROCS:-$(nproc)}
 export BENCH_GOMAXPROCS
 
-# The sweep/kfold arms are millisecond-scale, so they need more averaging
-# than the heavyweight macro benchmarks: at the old 3 iterations the timer
-# noise exceeded the serial-vs-parallel margin and hid the cache-contention
-# regression this ratio exists to catch.
+# median is shared by the awk reports below: the middle of a space-separated
+# list of numbers (the mean of the two middle values for an even count).
+AWK_MEDIAN='
+function median(list,    n, a, i, j, t) {
+    n = split(list, a, " ")
+    for (i = 2; i <= n; i++) {
+        t = a[i] + 0
+        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j + 1] = a[j]
+        a[j + 1] = t
+    }
+    return (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+}'
+
+# The sweep/kfold arms are millisecond-scale and their serial-vs-parallel
+# margin is a few percent on two cores, so one averaged run is not enough:
+# back-to-back runs of the same tree have disagreed on which arm was faster.
+# Each arm runs 5 times at SWEEP_BENCHTIME iterations and the JSON records the
+# median.
 SWEEP_BENCHTIME=${SWEEP_BENCHTIME:-20x}
-raw=$(GOMAXPROCS="$BENCH_GOMAXPROCS" go test -bench 'SweepSerialVsParallel|KFoldParallel' -benchtime "$SWEEP_BENCHTIME" -run '^$' .)
+raw=$(GOMAXPROCS="$BENCH_GOMAXPROCS" go test -bench 'SweepSerialVsParallel|KFoldParallel' -benchtime "$SWEEP_BENCHTIME" -count 5 -run '^$' .)
 echo "$raw"
 
-# Per-task dispatch overhead of the engine itself: per-index ForEach vs the
-# chunk-claiming ForEachChunked on 64Ki trivial tasks. The legacy_foreach
-# baseline (per-index dispatch before chunked claiming landed) was measured
-# once at benchtime 3x on the reference runner and stays fixed.
-dispraw=$(go test -bench 'Dispatch' -benchtime "$BENCHTIME" -run '^$' ./internal/parallel)
+# Per-task dispatch overhead of the pool itself on 64Ki trivial tasks at two
+# workers: ForEach (grain 1, one claim per task) vs ForEachChunked (automatic
+# grain). Also a median over 5 runs. baseline_commit is the commit
+# the measured tree was built on: diff this file against its version at that
+# commit for the before/after numbers.
+dispraw=$(GOMAXPROCS="$BENCH_GOMAXPROCS" go test -bench 'Dispatch' -benchtime "$BENCHTIME" -count 5 -run '^$' ./internal/parallel)
 echo "$dispraw"
 
-{ echo "$raw"; echo "$dispraw"; } | awk -v out="$OUT" '
-/^BenchmarkSweepSerialVsParallel\/serial/   { sweep_s = $3 }
-/^BenchmarkSweepSerialVsParallel\/parallel/ { sweep_p = $3 }
-/^BenchmarkKFoldParallel\/serial/           { kfold_s = $3 }
-/^BenchmarkKFoldParallel\/parallel/         { kfold_p = $3 }
+{ echo "$raw"; echo "$dispraw"; } | awk -v out="$OUT" -v commit="$(git rev-parse --short HEAD)" "$AWK_MEDIAN"'
+/^BenchmarkSweepSerialVsParallel\/serial/   { sweep_s = sweep_s " " $3 }
+/^BenchmarkSweepSerialVsParallel\/parallel/ { sweep_p = sweep_p " " $3 }
+/^BenchmarkKFoldParallel\/serial/           { kfold_s = kfold_s " " $3 }
+/^BenchmarkKFoldParallel\/parallel/         { kfold_p = kfold_p " " $3 }
 /^BenchmarkDispatch\/foreach-chunked/ {
-    for (i = 1; i < NF; i++) if ($(i+1) == "ns/task") chunk_ns = $i
+    for (i = 1; i < NF; i++) if ($(i+1) == "ns/task") chunk_ns = chunk_ns " " $i
     next
 }
 /^BenchmarkDispatch\/foreach/ {
-    for (i = 1; i < NF; i++) if ($(i+1) == "ns/task") each_ns = $i
+    for (i = 1; i < NF; i++) if ($(i+1) == "ns/task") each_ns = each_ns " " $i
 }
 /^cpu:/ { $1 = ""; sub(/^ /, ""); cpu = $0 }
 END {
@@ -76,14 +91,17 @@ END {
         print "bench.sh: missing benchmark rows in go test output" > "/dev/stderr"
         exit 1
     }
-    legacy_each_ns = 20.14
+    sweep_s = median(sweep_s); sweep_p = median(sweep_p)
+    kfold_s = median(kfold_s); kfold_p = median(kfold_p)
+    each_ns = median(each_ns); chunk_ns = median(chunk_ns)
     printf "{\n" > out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
     printf "  \"gomaxprocs\": %d,\n", ENVIRON["BENCH_GOMAXPROCS"] >> out
-    printf "  \"sweep\": {\"serial_ns_op\": %s, \"parallel_ns_op\": %s, \"speedup\": %.3f},\n", sweep_s, sweep_p, sweep_s / sweep_p >> out
-    printf "  \"kfold\": {\"serial_ns_op\": %s, \"parallel_ns_op\": %s, \"speedup\": %.3f},\n", kfold_s, kfold_p, kfold_s / kfold_p >> out
-    printf "  \"dispatch\": {\"foreach_ns_task\": %s, \"chunked_ns_task\": %s, \"legacy_foreach_ns_task\": %.2f, \"chunked_vs_foreach\": %.3f}\n", \
-        each_ns, chunk_ns, legacy_each_ns, each_ns / chunk_ns >> out
+    printf "  \"baseline_commit\": \"%s\",\n", commit >> out
+    printf "  \"sweep\": {\"serial_ns_op\": %d, \"parallel_ns_op\": %d, \"speedup\": %.3f},\n", sweep_s, sweep_p, sweep_s / sweep_p >> out
+    printf "  \"kfold\": {\"serial_ns_op\": %d, \"parallel_ns_op\": %d, \"speedup\": %.3f},\n", kfold_s, kfold_p, kfold_s / kfold_p >> out
+    printf "  \"dispatch\": {\"foreach_ns_task\": %.4g, \"chunked_ns_task\": %.4g, \"chunked_vs_foreach\": %.3f}\n", \
+        each_ns, chunk_ns, each_ns / chunk_ns >> out
     printf "}\n" >> out
 }'
 
@@ -239,7 +257,7 @@ echo "wrote $SERVE_OUT"
 
 # Gpusim analytic hot path: one on-menu AnalyzeAt (compile + evaluate) and
 # the batched AnalyzeCurve per-point cost over the full V100 menu. The sweep
-# rows repeat the serial/parallel arm from above so the end-to-end sweep
+# rows repeat the serial/parallel medians from above so the end-to-end sweep
 # speedup sits next to the kernel-level numbers it depends on.
 # baseline_commit is the commit the measured tree was built on: diff this
 # file against its version at that commit for the before/after numbers.
@@ -251,26 +269,27 @@ GPUSIM_BENCHTIME=${GPUSIM_BENCHTIME:-1s}
 gpuraw=$(GOMAXPROCS="$BENCH_GOMAXPROCS" go test -bench 'AnalyzeAt|AnalyzeCurve' -benchtime "$GPUSIM_BENCHTIME" -run '^$' ./internal/gpusim)
 echo "$gpuraw"
 
-{ echo "$raw"; echo "$gpuraw"; } | awk -v out="$GPUSIM_OUT" -v commit="$(git rev-parse --short HEAD)" '
+{ echo "$raw"; echo "$gpuraw"; } | awk -v out="$GPUSIM_OUT" -v commit="$(git rev-parse --short HEAD)" "$AWK_MEDIAN"'
 /^BenchmarkAnalyzeAt[- \t]/ { at_ns = $3 }
 /^BenchmarkAnalyzeCurve[- \t]/ {
     for (i = 1; i < NF; i++) if ($(i+1) == "ns/point") curve_ns = $i
 }
-/^BenchmarkSweepSerialVsParallel\/serial/   { sweep_s = $3 }
-/^BenchmarkSweepSerialVsParallel\/parallel/ { sweep_p = $3 }
+/^BenchmarkSweepSerialVsParallel\/serial/   { sweep_s = sweep_s " " $3 }
+/^BenchmarkSweepSerialVsParallel\/parallel/ { sweep_p = sweep_p " " $3 }
 /^cpu:/ { $1 = ""; sub(/^ /, ""); cpu = $0 }
 END {
     if (at_ns == "" || curve_ns == "" || sweep_s == "" || sweep_p == "") {
         print "bench.sh: missing gpusim benchmark rows in go test output" > "/dev/stderr"
         exit 1
     }
+    sweep_s = median(sweep_s); sweep_p = median(sweep_p)
     printf "{\n" > out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
     printf "  \"gomaxprocs\": %d,\n", ENVIRON["BENCH_GOMAXPROCS"] >> out
     printf "  \"baseline_commit\": \"%s\",\n", commit >> out
     printf "  \"analyze_at\": {\"ns_op\": %s},\n", at_ns >> out
     printf "  \"analyze_curve\": {\"ns_point\": %s},\n", curve_ns >> out
-    printf "  \"sweep\": {\"serial_ns_op\": %s, \"parallel_ns_op\": %s, \"speedup\": %.3f}\n", \
+    printf "  \"sweep\": {\"serial_ns_op\": %d, \"parallel_ns_op\": %d, \"speedup\": %.3f}\n", \
         sweep_s, sweep_p, sweep_s / sweep_p >> out
     printf "}\n" >> out
 }'
